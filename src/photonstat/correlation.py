@@ -26,7 +26,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .seeding import rng_for
-from .sources import FieldTrace, coherence_time
+from .sources import FieldTrace, _fft_len, coherence_time
 
 __all__ = [
     "CorrelationEstimate",
@@ -166,6 +166,8 @@ def g2_tau(
     intensity = _intensity(trace)
     n = intensity.size
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
+    if not np.all(np.isfinite(delays)):
+        raise InvalidArgumentError("delays must be finite")
     lags = np.round(np.abs(delays) / trace.dt).astype(int) * np.sign(delays).astype(int)
     if np.abs(lags).max(initial=0) >= n // 2:
         raise InvalidArgumentError(
@@ -251,7 +253,7 @@ def g2_from_counts(
     total = counts.sum()
     mean_per_bin = total / n_bins
     # Full autocorrelation of the count sequence via FFT.
-    nfft = 1 << int(np.ceil(np.log2(n_bins + k_max + 1)))
+    nfft = _fft_len(n_bins + k_max + 1)
     ft = np.fft.rfft(counts, nfft)
     raw = np.fft.irfft(ft * np.conj(ft), nfft)[: k_max + 1]
     pair_counts = np.empty(k_max + 1)

@@ -32,7 +32,7 @@ from .errors import (
     OutOfModelError,
 )
 from .seeding import rng_for
-from .sources import FieldTrace
+from .sources import FieldTrace, _fft_len
 from .tpa import AbsorberSpec, mollow_rate
 
 __all__ = [
@@ -141,29 +141,41 @@ def hbt_scan(
     form from the intensity moments; "numeric" applies a boxcar of one
     fringe period to the raw signal and requires a uniform delay grid with
     at least 6 points per fringe.
+
+    All delays share one set of zero-padded FFT lag correlations. With
+    a = E(t), b = E(t + tau) and p = exp(-i omega tau),
+
+        |a + p b|^4 = Ia^2 + Ib^2 + 4 Ia Ib
+                      + 4 Re(p (Ia + Ib) a* b) + 2 Re(p^2 a*^2 b^2),
+
+    so every time average is a lag correlation read at the rounded lag and
+    a scan costs O(n log n) whatever the number of delays. The first three
+    terms are the fringe-averaged signal. Near destructive interference
+    the exact raw signal is ~0 and the FFT sums cancel to round-off, so raw
+    values in [-1e-9 * filtered, 0) are set to 0.
     """
     e = trace.samples
     n = e.size
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
     if delays.size == 0:
         raise InvalidArgumentError("delays must be non-empty")
+    if not np.all(np.isfinite(delays)):
+        raise InvalidArgumentError("delays must be finite")
     if np.any(delays < 0):
         raise InvalidArgumentError("delays must be >= 0")
-    lags = np.round(delays / trace.dt).astype(int)
+    lags = np.round(delays / trace.dt)
     if lags.max() >= n // 2:
         raise InvalidArgumentError("largest delay exceeds half the trace duration")
-    omega = trace.carrier_freq
-    fringe_period = 2.0 * np.pi / omega
-    raw = np.empty(delays.size)
-    filtered = np.empty(delays.size)
-    for j, (tau, lag) in enumerate(zip(delays, lags)):
-        a = e[: n - lag] if lag else e
-        b = e[lag:] if lag else e
-        combined = a + np.exp(-1j * omega * tau) * b
-        raw[j] = np.mean(np.abs(combined) ** 4) / 16.0
-        ia = np.abs(a) ** 2
-        ib = np.abs(b) ** 2
-        filtered[j] = np.mean(ia**2 + ib**2 + 4.0 * ia * ib) / 16.0
+    lags = lags.astype(int)
+    squares, cross, mixed, quad = _interferogram_lag_sums(e, int(lags.max()))
+    phasor = np.exp(-1j * trace.carrier_freq * delays)
+    counts = 16.0 * (n - lags)
+    envelope = squares[lags] + 4.0 * cross[lags]
+    fringes = 4.0 * (phasor * mixed[lags]).real + 2.0 * (phasor**2 * quad[lags]).real
+    filtered = envelope / counts
+    raw = (envelope + fringes) / counts
+    raw[(raw < 0) & (raw >= -1e-9 * filtered)] = 0.0
+    fringe_period = 2.0 * np.pi / trace.carrier_freq
     if filter_mode == "numeric":
         filtered = _boxcar_filter(delays, raw, fringe_period)
     elif filter_mode != "analytic":
@@ -171,6 +183,46 @@ def hbt_scan(
             f"filter_mode must be 'analytic' or 'numeric', got {filter_mode!r}"
         )
     return InterferogramScan(delays, raw, filtered, fringe_period)
+
+
+def _interferogram_lag_sums(e: np.ndarray, k_max: int):
+    """Sums over t < n - k of the interferogram terms, for k = 0..k_max.
+
+    Returns (sum Ia^2 + Ib^2, sum Ia Ib, sum (Ia + Ib) a* b, sum a*^2 b^2)
+    with a = e[t], b = e[t + k]. Each padded spectrum is freed once its lag
+    correlation is read (the slices are copied so none keeps one alive).
+    """
+    n = e.size
+    nfft = _fft_len(n + k_max + 1)
+    intensity = e.real**2 + e.imag**2
+    sq = intensity**2
+    head = np.concatenate(([0.0], np.cumsum(sq[:k_max])))
+    tail = np.concatenate(([0.0], np.cumsum(sq[::-1][:k_max])))
+    squares = 2.0 * np.sum(sq) - head - tail
+    del sq
+    spec = np.fft.rfft(intensity, nfft)
+    cross = np.fft.irfft(spec.real**2 + spec.imag**2, nfft)[: k_max + 1].copy()
+    spec = np.fft.fft(intensity * e, nfft)
+    del intensity
+    spec_e = np.fft.fft(e, nfft)
+    real_spec = spec.real * spec_e.real
+    real_spec += spec.imag * spec_e.imag
+    del spec, spec_e
+    mixed = _inverse_of_real_spectrum(2.0 * real_spec, k_max)
+    spec = np.fft.fft(e * e, nfft)
+    real_spec = spec.real**2 + spec.imag**2
+    del spec
+    quad = _inverse_of_real_spectrum(real_spec, k_max)
+    return squares, cross, mixed, quad
+
+
+def _inverse_of_real_spectrum(spec: np.ndarray, k_max: int) -> np.ndarray:
+    """ifft(spec)[:k_max + 1] for a real spectrum, via the half-size rfft.
+
+    For real spec, ifft(spec)[k] = conj(fft(spec)[k]) / N. rfft gives every
+    k <= N/2, which covers k_max because N > n + k_max > 2 k_max.
+    """
+    return np.conj(np.fft.rfft(spec)[: k_max + 1]) / spec.size
 
 
 def _boxcar_filter(

@@ -312,10 +312,15 @@ def make_pseudothermal_trace(
             else:
                 nu[k] = rng.standard_cauchy() * dnu / 2.0
     phases = rng.uniform(0.0, 2.0 * np.pi, m)
-    t = np.arange(n) * dt
-    envelope = np.zeros(n, dtype=np.complex128)
-    for k in range(m):
-        envelope += np.exp(1j * (phases[k] + 2.0 * np.pi * nu[k] * t))
+    # t = (b L + l) dt splits each mode's phasor into a block factor and an
+    # in-block factor, so the mode sum is one (n/L x M) @ (M x L) product.
+    block = int(np.ceil(np.sqrt(n)))
+    n_blocks = -(-n // block)
+    block_phasors = np.exp(
+        1j * (phases + 2.0 * np.pi * np.outer(np.arange(n_blocks) * (block * dt), nu))
+    )
+    inblock_phasors = np.exp(2j * np.pi * np.outer(nu, np.arange(block) * dt))
+    envelope = (block_phasors @ inblock_phasors).ravel()[:n]
     samples = _renormalize(envelope, spec.mean_power)
     return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed))
 
@@ -412,11 +417,28 @@ def make_trace(spec: SourceSpec, duration: float, dt: float, seed: int) -> Field
     raise InvalidArgumentError(f"unknown statistics class {spec.statistics!r}")
 
 
+def _fft_len(m: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= m, the zero-padded FFT length.
+
+    Padding a length-n sequence to at least n + k_max + 1 points keeps
+    circular lag correlations free of wrap-around up to lag k_max.
+    """
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _g1_magnitude(trace: FieldTrace, max_lag: int) -> np.ndarray:
     """|g1(k dt)| for k = 0..max_lag via zero-padded FFT autocorrelation."""
     e = trace.samples
     n = e.size
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    nfft = _fft_len(n + max_lag + 1)
     spec = np.fft.fft(e, nfft)
     acorr = np.fft.ifft(spec * np.conj(spec))[: max_lag + 1]
     counts = n - np.arange(max_lag + 1)

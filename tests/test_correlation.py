@@ -55,6 +55,13 @@ def test_g2_delay_bounds():
         g2_tau(trace, [60 * TAU_C])
 
 
+def test_g2_rejects_non_finite_delay():
+    trace = thermal_trace(n_tauc=100, seed=3)
+    for bad in ([np.nan], [0.0, np.inf]):
+        with pytest.raises(InvalidArgumentError):
+            g2_tau(trace, bad)
+
+
 def test_g2_rejects_duplicate_delays():
     trace = thermal_trace(n_tauc=100, seed=3)
     dt = trace.dt

@@ -1,17 +1,23 @@
 """Detection chain: counters, interferometer scans, signal-ratio inversion."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonstat.errors import InvalidArgumentError, OutOfModelError
 from photonstat.instruments import (
     DetectionChain,
     InterferogramScan,
+    _boxcar_filter,
     extract_g2,
     fluorescence_counts,
     hbt_scan,
     photon_counter,
 )
+from photonstat.presets import source_preset
 from photonstat.sources import SourceSpec, make_trace, nominal_coherence_time
 from photonstat.tpa import AbsorberSpec
 
@@ -75,6 +81,125 @@ def test_chain_validation():
         chain(quantum_efficiency=-0.1)
     with pytest.raises(InvalidArgumentError):
         chain(integration_time=0.0)
+
+
+def reference_scan(trace, delays, filter_mode="analytic"):
+    """The per-delay loop hbt_scan replaced: one O(n) pass per delay."""
+    e = trace.samples
+    n = e.size
+    delays = np.atleast_1d(np.asarray(delays, dtype=float))
+    lags = np.round(delays / trace.dt).astype(int)
+    omega = trace.carrier_freq
+    raw = np.empty(delays.size)
+    filtered = np.empty(delays.size)
+    for j, (tau, lag) in enumerate(zip(delays, lags)):
+        a = e[: n - lag] if lag else e
+        b = e[lag:] if lag else e
+        combined = a + np.exp(-1j * omega * tau) * b
+        raw[j] = np.mean(np.abs(combined) ** 4) / 16.0
+        ia = np.abs(a) ** 2
+        ib = np.abs(b) ** 2
+        filtered[j] = np.mean(ia**2 + ib**2 + 4.0 * ia * ib) / 16.0
+    if filter_mode == "numeric":
+        filtered = _boxcar_filter(delays, raw, 2.0 * np.pi / omega)
+    return raw, filtered
+
+
+def assert_matches_reference(trace, delays, filter_mode="analytic"):
+    # The FFT sums reorder the arithmetic, so agreement is to round-off,
+    # measured against the filtered signal (the raw one can cancel to ~0).
+    scan = hbt_scan(trace, delays, filter_mode=filter_mode)
+    raw, filtered = reference_scan(trace, delays, filter_mode)
+    tol = 1e-12 * filtered
+    assert np.all(np.abs(scan.raw_signal - raw) <= tol)
+    assert np.all(np.abs(scan.filtered_signal - filtered) <= tol)
+
+
+BASE_976 = dict(
+    center_wavelength=976e-9,
+    bandwidth_fwhm=20e-9,
+    bandwidth_convention="wavelength",
+    mean_power=1e-3,
+)
+SLD = source_preset("sld")
+TAU_C_976 = nominal_coherence_time(SLD.spectral_shape, SLD.bandwidth_hz)
+CLASS_SPECS = {
+    "thermal-gaussian": SLD,
+    "coherent": SourceSpec(statistics="coherent", amplitude_noise=0.1, **BASE_976),
+    "pseudo-thermal": SourceSpec(statistics="pseudo-thermal", mode_count=64, **BASE_976),
+    "tunable": SourceSpec(statistics="tunable", target_g2=1.5, **BASE_976),
+}
+
+
+@pytest.mark.parametrize("statistics", sorted(CLASS_SPECS))
+def test_scan_matches_reference_loop(statistics):
+    dt = TAU_C_976 / 8
+    trace = make_trace(CLASS_SPECS[statistics], 4_000 * TAU_C_976, dt, 21)
+    assert_matches_reference(trace, np.arange(0.0, 30 * TAU_C_976 + dt, TAU_C_976 / 2))
+    fringe = 2 * np.pi / trace.carrier_freq
+    resolved = np.arange(0.0, 2.2 * TAU_C_976, fringe / 8.0)
+    assert_matches_reference(trace, resolved, filter_mode="numeric")
+
+
+@st.composite
+def scan_cases(draw):
+    statistics = draw(st.sampled_from(sorted(CLASS_SPECS)))
+    kw = {}
+    if statistics == "coherent":
+        kw["amplitude_noise"] = draw(st.sampled_from([0.0, 0.1]))
+    elif statistics == "pseudo-thermal":
+        kw["mode_count"] = draw(st.integers(1, 64))
+    elif statistics == "tunable":
+        kw["target_g2"] = draw(st.floats(1.0, 4.0))
+    spec = SourceSpec(statistics=statistics, **kw, **BASE_976)
+    n = draw(st.integers(800, 4_096))
+    seed = draw(st.integers(0, 2**32 - 1))
+    dt = TAU_C_976 / 8
+    fringe = 2 * np.pi / spec.carrier_freq
+    filter_mode = draw(st.sampled_from(["analytic", "numeric"]))
+    if filter_mode == "numeric":
+        step = fringe / draw(st.integers(6, 12))
+        start = draw(st.integers(0, n // 4)) * dt
+        delays = start + step * np.arange(draw(st.integers(13, 80)))
+    else:
+        # Lags may repeat, each copy with its own sub-sample carrier phase.
+        lags = draw(st.lists(st.integers(0, n // 2 - 1), min_size=1, max_size=40))
+        offsets = draw(
+            st.lists(st.floats(0.0, 0.49), min_size=len(lags), max_size=len(lags))
+        )
+        delays = np.array(lags) * dt + np.array(offsets) * dt
+    return spec, n, dt, seed, np.asarray(delays), filter_mode
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_cases())
+def test_scan_matches_reference_property(case):
+    spec, n, dt, seed, delays, filter_mode = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short traces warn about noise
+        trace = make_trace(spec, n * dt, dt, seed)
+    assert_matches_reference(trace, delays, filter_mode)
+
+
+def test_scan_destructive_interference_floor():
+    # A noise-free coherent field at half a fringe cancels exactly; the FFT
+    # sums leave +-round-off that must not surface as a negative signal.
+    spec = source_preset("dfb")
+    tau_c = nominal_coherence_time(spec.spectral_shape, spec.bandwidth_hz)
+    fringe = 2 * np.pi / spec.carrier_freq
+    delays = (np.arange(40) + 0.5) * fringe
+    for seed in range(40):
+        trace = make_trace(spec, 400 * tau_c, tau_c / 8, seed)
+        scan = hbt_scan(trace, delays)
+        assert np.all(scan.raw_signal >= 0)
+        assert np.all(scan.raw_signal <= 1e-9 * scan.filtered_signal)
+
+
+def test_scan_rejects_non_finite_delay():
+    trace = thermal_trace(n_tauc=500, seed=4)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError):
+            hbt_scan(trace, [0.0, bad])
 
 
 def test_scan_zero_delay_equals_intensity_square():

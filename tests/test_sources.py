@@ -1,13 +1,17 @@
 """Field synthesis: statistics targets, coherence times, grid validation."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.constants import c as C_LIGHT
 
 from photonstat.correlation import gn_zero
 from photonstat.errors import EstimationError, InvalidArgumentError, SamplingError
+from photonstat.seeding import rng_for
 from photonstat.sources import (
     SourceSpec,
+    _fft_len,
     coherence_time,
     estimate_bandwidth_hz,
     make_coherent_trace,
@@ -97,6 +101,88 @@ def test_pseudothermal_g2_target(modes):
     est = gn_zero(trace, 2)
     target = 2.0 - 1.0 / modes
     assert abs(est.values[0] - target) < max(3 * est.std_errors[0], 0.02)
+
+
+def pseudothermal_loop(spec, duration, dt, seed):
+    """Reference synthesis: one full-length complex exponential per mode."""
+    n = int(round(duration / dt))
+    m = spec.mode_count
+    rng = rng_for(seed)
+    dnu = spec.bandwidth_hz
+    if spec.spectral_shape == "gaussian":
+        sigma = dnu / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+        nu = rng.normal(0.0, sigma, m)
+    else:
+        nu = rng.standard_cauchy(m) * dnu / 2.0
+    limit = 0.4 / dt
+    for k in range(m):
+        while abs(nu[k]) > limit:
+            if spec.spectral_shape == "gaussian":
+                nu[k] = rng.normal(0.0, sigma)
+            else:
+                nu[k] = rng.standard_cauchy() * dnu / 2.0
+    phases = rng.uniform(0.0, 2.0 * np.pi, m)
+    t = np.arange(n) * dt
+    envelope = np.zeros(n, dtype=np.complex128)
+    for k in range(m):
+        envelope += np.exp(1j * (phases[k] + 2.0 * np.pi * nu[k] * t))
+    return envelope * np.sqrt(spec.mean_power / np.mean(np.abs(envelope) ** 2))
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "lorentzian"])
+@pytest.mark.parametrize("modes", [1, 3, 64])
+def test_pseudothermal_matches_mode_loop(modes, shape):
+    spec = SourceSpec(
+        statistics="pseudo-thermal",
+        center_wavelength=976e-9,
+        bandwidth_fwhm=BW,
+        spectral_shape=shape,
+        mean_power=1e-3,
+        mode_count=modes,
+    )
+    tau_c = nominal_coherence_time(shape, BW)
+    dt = tau_c / 8
+    for n_tauc in (250, 2_501):
+        trace = make_pseudothermal_trace(spec, n_tauc * tau_c, dt, 17)
+        expected = pseudothermal_loop(spec, n_tauc * tau_c, dt, 17)
+        # Both forms carry the round-off of phase arguments up to
+        # 2 pi * 0.4 / dt * duration, relative eps each.
+        max_phase = 2.0 * np.pi * 0.4 * trace.n_samples
+        tol = 8.0 * np.finfo(float).eps * max_phase * np.sqrt(spec.mean_power)
+        assert trace.n_samples == expected.size
+        assert np.max(np.abs(trace.samples - expected)) <= tol
+
+
+def test_pseudothermal_concurrent_synthesis_is_bit_identical():
+    spec = SourceSpec(
+        statistics="pseudo-thermal",
+        center_wavelength=976e-9,
+        bandwidth_fwhm=BW,
+        mean_power=1e-3,
+        mode_count=64,
+    )
+    seeds = range(30, 38)
+    serial = [quick_trace(spec, seed=s).samples for s in seeds]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda s: quick_trace(spec, seed=s).samples, seeds))
+    for a, b in zip(serial, threaded):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_fft_len_is_smallest_five_smooth():
+    def five_smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for m in range(1, 3_001):
+        brute = m
+        while not five_smooth(brute):
+            brute += 1
+        assert _fft_len(m) == brute, m
+    for m, length in ((160_241, 162_000), (2_000_241, 2_025_000), (2**20 + 1, 1_049_760)):
+        assert _fft_len(m) == length
 
 
 def tunable_spec(target, power=1e-3):
