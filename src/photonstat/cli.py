@@ -381,11 +381,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
         "source": source_name,
         "fluorophore": fluor_name,
         "g2_used": sweep.g2_value,
-        "a": fit.a,
-        "a_stderr": fit.a_stderr,
-        "b": fit.exponent_check.b if fit.exponent_check else None,
-        "b_stderr": fit.exponent_check.b_stderr if fit.exponent_check else None,
-        "chi2_reduced": fit.residual_stats.get("chi2_reduced"),
+        **_fit_payload(fit),
         **_meta(cfg),
     }
     _write_json(out / f"sweep_{fluor_name}__{source_name}.json", payload)
@@ -417,9 +413,14 @@ def _read_sweep_csv(path: Path) -> SweepResult:
     if not rows or rows[0] != ["P_exc_W", "counts", "repeat"]:
         raise FormatError(f"{path}: not a sweep CSV (bad header)")
     for row in rows[1:]:
-        if len(row) != 3:
+        try:
+            p_exc, counts, rep = row
+            record = (float(p_exc), float(counts), int(rep))
+        except ValueError:
+            record = None
+        if record is None or not np.all(np.isfinite(record[:2])):
             raise FormatError(f"{path}: malformed row {row!r}")
-        records.append((float(row[0]), float(row[1]), int(row[2])))
+        records.append(record)
     stem = path.stem
     fluor, _, source = stem.partition("__")
     return SweepResult(
@@ -454,6 +455,17 @@ def _panel_svg(
         y_label="counts",
         metadata=_meta_line(cfg),
     )
+
+
+def _fit_payload(fit) -> dict:
+    exp_check = fit.exponent_check
+    return {
+        "a": fit.a,
+        "a_stderr": fit.a_stderr,
+        "b": exp_check.b if exp_check else None,
+        "b_stderr": exp_check.b_stderr if exp_check else None,
+        "chi2_reduced": fit.residual_stats.get("chi2_reduced"),
+    }
 
 
 def _write_fits_csv(path: Path, rows: list, metadata: str) -> None:
@@ -513,14 +525,7 @@ def cmd_reproduce_fig2(cfg: RunConfig, args: argparse.Namespace) -> None:
             )
             fit = panel.fits[key]
             fit_rows.append((f"{fluor_name}/{key}", fit))
-            exp_check = fit.exponent_check
-            fits_payload[key] = {
-                "a": fit.a,
-                "a_stderr": fit.a_stderr,
-                "b": exp_check.b if exp_check else None,
-                "b_stderr": exp_check.b_stderr if exp_check else None,
-                "chi2_reduced": fit.residual_stats.get("chi2_reduced"),
-            }
+            fits_payload[key] = _fit_payload(fit)
             g2_values[key] = sweep.g2_value
         with open(plots / f"{fluor_name}.svg", "w") as fh:
             fh.write(_panel_svg(cfg, fluor_name, panel.sweeps, panel.fits))
@@ -570,9 +575,11 @@ def cmd_reproduce_fig2(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     out = _out_dir(cfg)
     exp = cfg.data["experiment"]
-    sweep_files = sorted(out.glob("*__*.csv"))
+    # reproduce-fig2 writes {fluorophore}__{source}.csv; `sweep` adds "sweep_".
+    csvs = out.glob("*__*.csv")
+    sweep_files = sorted(p for p in csvs if not p.name.startswith("sweep_"))
     if not sweep_files:
-        raise InsufficientDataError(f"no sweep CSVs (*__*.csv) found in {out}")
+        raise InsufficientDataError(f"no reproduce-fig2 sweep CSVs in {out}")
     panels: dict = {}
     for path in sweep_files:
         sweep = _read_sweep_csv(path)
@@ -592,18 +599,11 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
         found = panels[fluor_name]
         sweeps = {k: found[k] for k in _config_order(found, exp["sources"])}
         fits = {key: fit_quadratic(sweep) for key, sweep in sweeps.items()}
-        fits_payload = {}
-        for key, fit in fits.items():
-            fit_rows.append((f"{fluor_name}/{key}", fit))
-            exp_check = fit.exponent_check
-            fits_payload[key] = {
-                "a": fit.a,
-                "a_stderr": fit.a_stderr,
-                "b": exp_check.b if exp_check else None,
-                "b_stderr": exp_check.b_stderr if exp_check else None,
-                "chi2_reduced": fit.residual_stats.get("chi2_reduced"),
-            }
-        payload = {"fluorophore": fluor_name, "fits": fits_payload}
+        fit_rows += [(f"{fluor_name}/{key}", fit) for key, fit in fits.items()]
+        payload = {
+            "fluorophore": fluor_name,
+            "fits": {key: _fit_payload(fit) for key, fit in fits.items()},
+        }
         keys = list(sweeps)
         if len(keys) == 2:
             from .experiments import enhancement_ratio

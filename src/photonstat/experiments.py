@@ -155,13 +155,13 @@ def power_sweep(
     statistics_mode "nominal" uses the closed-form g2(0) of the source
     class; "trace" synthesizes one field realization (seed-derived) and
     uses its measured moments, so sweep results inherit estimator noise
-    exactly as a finite measurement would. Every count draw has its own
-    seed derived from (seed, power index, repeat), making results
-    independent of execution order.
+    exactly as a finite measurement would. With noise on, all counts are
+    one Poisson draw over (powers x repeats) from the stream rng_for(seed, 1)
+    (index 0 seeds the trace), so results never depend on execution order.
     """
     powers = np.asarray(powers, dtype=float)
-    if powers.size == 0 or np.any(powers <= 0):
-        raise InvalidArgumentError("powers must be non-empty and positive")
+    if powers.size == 0 or not np.all(np.isfinite(powers) & (powers > 0)):
+        raise InvalidArgumentError("powers must be non-empty, finite and positive")
     if np.any(np.diff(powers) <= 0):
         raise InvalidArgumentError("powers must be strictly increasing")
     if repeats < 1:
@@ -179,18 +179,15 @@ def power_sweep(
         raise InvalidArgumentError(
             f"statistics_mode must be 'nominal' or 'trace', got {statistics_mode!r}"
         )
-    records = []
-    for i, p_meas in enumerate(powers):
-        for k in range(repeats):
-            counts = fluorescence_counts(
-                p_meas,
-                g2_value,
-                absorber,
-                chain,
-                derive_seed(seed, 1 + i, k),
-                noise=noise,
-            )
-            records.append((chain.power_correction_eta * p_meas, counts, k))
+    expected = [
+        fluorescence_counts(p, g2_value, absorber, chain, 0, noise=False)
+        for p in powers
+    ]
+    counts = np.repeat(np.array(expected)[:, None], repeats, axis=1)
+    if noise:
+        counts = rng_for(seed, 1).poisson(counts)
+    rows = zip((chain.power_correction_eta * powers).tolist(), counts.tolist())
+    records = [(p, c, k) for p, row in rows for k, c in enumerate(row)]
     return SweepResult(
         source_label=source.label or source.statistics,
         fluorophore_label=absorber.label,

@@ -192,6 +192,42 @@ def test_cli_report_rebuild_matches(tmp_path):
         assert p1["ratio"] == pytest.approx(p2["ratio"], rel=1e-12)
 
 
+def test_cli_report_ignores_sweep_command_csvs(tmp_path):
+    out = tmp_path / "fig2"
+    assert run_cli(["sweep", "--out", out, "--seed", 31]) == 0
+    assert (out / "sweep_DCM__sld.csv").exists()
+    assert run_cli(["reproduce-fig2", "--out", out, "--seed", 31]) == 0
+    first = json.loads((out / "report.json").read_text())
+    assert run_cli(["report", "--out", out, "--seed", 31]) == 0
+    rebuilt = json.loads((out / "report.json").read_text())
+    assert [p["fluorophore"] for p in rebuilt["panels"]] == [
+        "DCM",
+        "CdTe-QD",
+        "RhodamineB",
+    ]
+    assert [p["fits"] for p in rebuilt["panels"]] == [
+        p["fits"] for p in first["panels"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["abc,10,0", "1e-4,many,0", "1e-4,10,first", "1e-4,nan,0", "inf,10,0", "1e-4,10"],
+)
+def test_cli_report_rejects_malformed_sweep_csv(tmp_path, capsys, row):
+    out = tmp_path / "fig2"
+    out.mkdir()
+    (out / "DCM__sld.csv").write_text(
+        "# test\nP_exc_W,counts,repeat\n1e-5,1,0\n" + row + "\n"
+    )
+    # main() returning the exit code means nothing escaped as a traceback.
+    assert run_cli(["report", "--out", out]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error [data-error]:")
+    assert "malformed row" in err[0]
+
+
 def test_cli_sweep_artifacts(tmp_path):
     out = tmp_path / "s"
     assert run_cli(["sweep", "--out", out, "--seed", 5, "--source", "dfb"]) == 0

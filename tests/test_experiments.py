@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonstat.errors import InsufficientDataError, InvalidArgumentError
 from photonstat.experiments import (
@@ -101,6 +103,59 @@ def test_sweep_records_shape_and_determinism():
     assert reps == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("noise", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sweep_rejects_non_finite_powers(noise, bad):
+    absorber = calibrated_absorber()
+    chain = chain_preset("paper-EMCCD")
+    for powers in ([1e-4, bad], [1e-4, bad, 1e-3]):
+        with pytest.raises(InvalidArgumentError):
+            power_sweep(source_preset("sld"), absorber, chain, powers, 2, 1, noise=noise)
+
+
+def test_sweep_noise_off_records_equal_per_power_expectations():
+    absorber = calibrated_absorber()
+    chain = chain_preset("paper-EMCCD", dark_rate=20.0)
+    sweep = power_sweep(
+        source_preset("sld"), absorber, chain, POWERS, 3, 5, noise=False
+    )
+    expected = [
+        (
+            chain.power_correction_eta * p,
+            fluorescence_counts(p, 2.0, absorber, chain, 0, noise=False),
+            k,
+        )
+        for p in POWERS
+        for k in range(3)
+    ]
+    assert sweep.records == expected
+    assert all(type(c) is float for _, c, _ in sweep.records)
+
+
+def test_sweep_counts_match_poisson_moments():
+    # One power, many repeats: the counts are Poisson in the expectation.
+    absorber = calibrated_absorber()
+    chain = chain_preset("paper-EMCCD")
+    n = 20_000
+    sweep = power_sweep(source_preset("dfb"), absorber, chain, [300e-6], n, 21)
+    lam = fluorescence_counts(300e-6, 1.0, absorber, chain, 0, noise=False)
+    counts = sweep.counts()
+    assert all(type(c) is int for _, c, _ in sweep.records)
+    mean_se = np.sqrt(lam / n)
+    var_se = np.sqrt((lam + 2.0 * lam**2) / n)
+    assert abs(counts.mean() - lam) < 5 * mean_se
+    assert abs(counts.var(ddof=1) - lam) < 5 * var_se
+
+
+def test_sweep_seeds_give_different_counts():
+    absorber = calibrated_absorber()
+    chain = chain_preset("paper-EMCCD")
+    a = power_sweep(source_preset("sld"), absorber, chain, POWERS, 4, 31)
+    b = power_sweep(source_preset("sld"), absorber, chain, POWERS, 4, 32)
+    assert a.powers().tolist() == b.powers().tolist()
+    assert not np.array_equal(a.counts(), b.counts())
+
+
 def test_dark_counts_add_constant_offset():
     absorber = calibrated_absorber()
     dark_chain = chain_preset("paper-EMCCD", dark_rate=50.0)
@@ -149,6 +204,14 @@ def test_report_thread_count_does_not_change_results():
         assert p1.ratio.value == p2.ratio.value
         for key in p1.sweeps:
             assert p1.sweeps[key].records == p2.sweeps[key].records
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_report_ratios_independent_of_thread_count(master_seed):
+    serial = default_report(master_seed, threads=1)
+    threaded = default_report(master_seed, threads=2)
+    assert serial.ratios() == threaded.ratios()
 
 
 def test_reported_ratio_error_tracks_seed_scatter():
