@@ -127,17 +127,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
     data = load_config(args.config)
-    seed = data["master_seed"]
+    seed, origin = data["master_seed"], "master_seed"
     env_seed = os.environ.get("PHOTONSTAT_SEED")
     if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(
-                f"PHOTONSTAT_SEED must be an integer, got {env_seed!r}"
-            ) from None
+        seed, origin = env_seed, "PHOTONSTAT_SEED"
     if args.seed is not None:
-        seed = args.seed
+        seed, origin = args.seed, "--seed"
+    try:
+        master_seed = int(seed)
+    except ValueError:
+        master_seed = -1
+    if not 0 <= master_seed < 2**64:
+        raise ConfigError(f"{origin} must be an integer in [0, 2^64), got {seed!r}")
     noise = data["noise"]
     if args.noise is not None:
         noise = args.noise == "on"
@@ -150,7 +151,7 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     return RunConfig(
         data=data,
-        master_seed=int(seed),
+        master_seed=master_seed,
         threads=threads,
         noise=bool(noise),
         out_dir=out_dir,

@@ -108,8 +108,45 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         elif isinstance(base[key], dict) and isinstance(value, dict):
             merged[key] = _deep_merge(base[key], value, here)
         else:
+            _check_like_default(base[key], value, here)
             merged[key] = value
     return merged
+
+
+def _check_like_default(default, value, path: str) -> None:
+    """Raise ConfigError unless value has the kind of its default.
+
+    The default is the schema: a mapping needs a mapping, a boolean a
+    boolean, an integer anything int() takes without rounding, a float
+    anything float() takes, and a list of numbers as many numbers.
+    """
+    if isinstance(default, dict):
+        wanted, ok = "a mapping", False
+    elif isinstance(default, bool):
+        wanted, ok = "true or false", isinstance(value, bool)
+    elif isinstance(default, (int, float)):
+        kind = type(default)
+        wanted = "an integer" if kind is int else "a number"
+        ok = _converts(value, kind)
+    elif isinstance(default, list) and all(isinstance(d, float) for d in default):
+        wanted = f"a list of {len(default)} numbers"
+        ok = isinstance(value, list) and len(value) == len(default)
+        ok = ok and all(_converts(v, float) for v in value)
+    else:
+        return
+    if not ok:
+        raise ConfigError(f"{path} must be {wanted}, got {value!r}")
+
+
+def _converts(value, kind) -> bool:
+    """True if kind(value) works, and for int without dropping a fraction."""
+    if isinstance(value, bool):
+        return False
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return not isinstance(value, float) or number == value
 
 
 def load_config(path=None) -> dict:

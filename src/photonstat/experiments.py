@@ -26,7 +26,7 @@ from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
 )
-from .instruments import DetectionChain, fluorescence_counts
+from .instruments import DetectionChain, _poisson_counts, fluorescence_counts
 from .seeding import derive_seed, rng_for
 from .sources import SourceSpec, make_trace, nominal_coherence_time, nominal_g2
 from .tpa import AbsorberSpec, RatioEstimate, lineshape, rate_ratio
@@ -185,7 +185,7 @@ def power_sweep(
     ]
     counts = np.repeat(np.array(expected)[:, None], repeats, axis=1)
     if noise:
-        counts = rng_for(seed, 1).poisson(counts)
+        counts = _poisson_counts(rng_for(seed, 1), counts)
     rows = zip((chain.power_correction_eta * powers).tolist(), counts.tolist())
     records = [(p, c, k) for p, row in rows for k, c in enumerate(row)]
     return SweepResult(

@@ -32,7 +32,7 @@ from .errors import (
     OutOfModelError,
 )
 from .seeding import rng_for
-from .sources import FieldTrace, _fft_len
+from .sources import FieldTrace, _fft_len, _inverse_of_real_spectrum, _lag_sums
 from .tpa import AbsorberSpec, mollow_rate
 
 __all__ = [
@@ -125,8 +125,21 @@ def photon_counter(
     ) * chain.integration_time
     if not noise:
         return float(expected)
-    rng = rng_for(seed)
-    return int(rng.poisson(expected))
+    return int(_poisson_counts(rng_for(seed), expected))
+
+
+# numpy's largest Poisson mean: int64 max less 10 of its square roots.
+_POISSON_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
+
+
+def _poisson_counts(rng: np.random.Generator, expected):
+    """Poisson draws of expected counts, refused above numpy's limit."""
+    if not np.all(np.asarray(expected) <= _POISSON_MAX):
+        raise InvalidArgumentError(
+            f"expected counts must be finite and at most {_POISSON_MAX:.4g} "
+            "to be drawn as Poisson counts; lower the power or the calibration"
+        )
+    return rng.poisson(expected)
 
 
 def hbt_scan(
@@ -142,7 +155,7 @@ def hbt_scan(
     fringe period to the raw signal and requires a uniform delay grid with
     at least 6 points per fringe.
 
-    All delays share one set of zero-padded FFT lag correlations. With
+    All delays share one set of FFT lag correlations. With
     a = E(t), b = E(t + tau) and p = exp(-i omega tau),
 
         |a + p b|^4 = Ia^2 + Ib^2 + 4 Ia Ib
@@ -190,7 +203,7 @@ def _interferogram_lag_sums(e: np.ndarray, k_max: int):
 
     Returns (sum Ia^2 + Ib^2, sum Ia Ib, sum (Ia + Ib) a* b, sum a*^2 b^2)
     with a = e[t], b = e[t + k]. Each padded spectrum is freed once its lag
-    correlation is read (the slices are copied so none keeps one alive).
+    correlation is read.
     """
     n = e.size
     nfft = _fft_len(n + k_max + 1)
@@ -200,29 +213,17 @@ def _interferogram_lag_sums(e: np.ndarray, k_max: int):
     tail = np.concatenate(([0.0], np.cumsum(sq[::-1][:k_max])))
     squares = 2.0 * np.sum(sq) - head - tail
     del sq
-    spec = np.fft.rfft(intensity, nfft)
-    cross = np.fft.irfft(spec.real**2 + spec.imag**2, nfft)[: k_max + 1].copy()
+    cross = _lag_sums(intensity, k_max)
     spec = np.fft.fft(intensity * e, nfft)
     del intensity
     spec_e = np.fft.fft(e, nfft)
     real_spec = spec.real * spec_e.real
     real_spec += spec.imag * spec_e.imag
     del spec, spec_e
+    # N > n + k_max > 2 k_max, so the half-size inverse reaches k_max.
     mixed = _inverse_of_real_spectrum(2.0 * real_spec, k_max)
-    spec = np.fft.fft(e * e, nfft)
-    real_spec = spec.real**2 + spec.imag**2
-    del spec
-    quad = _inverse_of_real_spectrum(real_spec, k_max)
+    quad = _lag_sums(e * e, k_max)
     return squares, cross, mixed, quad
-
-
-def _inverse_of_real_spectrum(spec: np.ndarray, k_max: int) -> np.ndarray:
-    """ifft(spec)[:k_max + 1] for a real spectrum, via the half-size rfft.
-
-    For real spec, ifft(spec)[k] = conj(fft(spec)[k]) / N. rfft gives every
-    k <= N/2, which covers k_max because N > n + k_max > 2 k_max.
-    """
-    return np.conj(np.fft.rfft(spec)[: k_max + 1]) / spec.size
 
 
 def _boxcar_filter(

@@ -53,6 +53,10 @@ SPECTRAL_SHAPES = ("gaussian", "lorentzian")
 # |g1| threshold below which the field is considered decorrelated; used by
 # coherence_time truncation and by its decay precondition.
 G1_DECAY_THRESHOLD = 0.05
+# Overlap-save geometry of _lag_sums: the shortest block, and the points
+# transformed per batch of blocks.
+_LAG_BLOCK = 8192
+_CHUNK_POINTS = 1 << 20
 
 
 @dataclass
@@ -434,15 +438,71 @@ def _fft_len(m: int) -> int:
     return best
 
 
-def _g1_magnitude(trace: FieldTrace, max_lag: int) -> np.ndarray:
-    """|g1(k dt)| for k = 0..max_lag via zero-padded FFT autocorrelation."""
-    e = trace.samples
-    n = e.size
+def _inverse_of_real_spectrum(spec: np.ndarray, k_max: int) -> np.ndarray:
+    """ifft(spec)[:k_max + 1] for a real spectrum, via the half-size rfft.
+
+    For real spec, ifft(spec)[k] = conj(fft(spec)[k]) / N. rfft gives every
+    k <= N/2, which covers k_max whenever N > 2 k_max.
+    """
+    return np.conj(np.fft.rfft(spec)[: k_max + 1]) / spec.size
+
+
+def _lag_sums(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Sums over t < n - k of conj(x[t]) x[t + k], for k = 0..max_lag < n.
+
+    The result is real for real x and complex otherwise. One FFT zero-padded
+    to _fft_len(n + max_lag + 1) points gives every lag: irfft(|rfft(x)|^2)
+    for real x, and for complex x the real power spectrum |fft(x)|^2
+    inverted with the half-size rfft. When max_lag is small next to n, x is
+    instead cut into blocks of L >= 4 max_lag samples (overlap-save): the
+    cross-spectra of every block with its (L + max_lag) window are summed
+    and inverted once, and the tail goes through the one-FFT path. Short
+    batched transforms stay in cache (at n = 2e6 they ran ~3x faster per
+    sample than one long transform), and nothing of size n is allocated.
+    """
+    n = x.size
+    real = not np.iscomplexobj(x)
+    block = max(_LAG_BLOCK, 4 * max_lag)
+    nb = (n - max_lag) // block
+    if nb >= 4:
+        m = _fft_len(block + max_lag)
+        acc = sum(s.sum(axis=0) for s in _block_spectra(x, block, nb, max_lag, m))
+        head = np.fft.irfft(acc, m) if real else np.fft.ifft(acc)
+        return head[: max_lag + 1] + _lag_sums(x[nb * block :], max_lag)
     nfft = _fft_len(n + max_lag + 1)
-    spec = np.fft.fft(e, nfft)
-    acorr = np.fft.ifft(spec * np.conj(spec))[: max_lag + 1]
-    counts = n - np.arange(max_lag + 1)
-    acorr = acorr / counts
+    spec = np.fft.rfft(x, nfft) if real else np.fft.fft(x, nfft)
+    del x
+    power = spec.real**2
+    power += spec.imag**2
+    del spec
+    if real:
+        return np.fft.irfft(power, nfft)[: max_lag + 1].copy()
+    return _inverse_of_real_spectrum(power, max_lag)
+
+
+def _block_spectra(x: np.ndarray, block: int, nb: int, max_lag: int, m: int):
+    """Yield cross-spectra conj(F(x_b)) F(w_b) of blocks with their windows.
+
+    x_b = x[b L : (b + 1) L] and w_b = x[b L : (b + 1) L + max_lag] for the
+    first nb blocks of L = block samples (nb L + max_lag <= n), in chunks of
+    consecutive blocks (one row each). F is an m-point FFT (rfft for real x)
+    with m >= L + max_lag, so the inverse of a row at k <= max_lag is the
+    block's lag sum over t < L of conj(x_b[t]) w_b[t + k].
+    """
+    fft = np.fft.rfft if not np.iscomplexobj(x) else np.fft.fft
+    windows = np.lib.stride_tricks.sliding_window_view(x, block + max_lag)
+    step = max(1, _CHUNK_POINTS // m)
+    for b0 in range(0, nb, step):
+        b1 = min(nb, b0 + step)
+        spec = fft(windows[b0 * block : b1 * block : block], m, axis=1)
+        spec *= np.conj(fft(x[b0 * block : b1 * block].reshape(-1, block), m, axis=1))
+        yield spec
+
+
+def _g1_magnitude(trace: FieldTrace, max_lag: int) -> np.ndarray:
+    """|g1(k dt)| for k = 0..max_lag from the field's lag sums."""
+    counts = trace.n_samples - np.arange(max_lag + 1)
+    acorr = _lag_sums(trace.samples, max_lag) / counts
     return np.abs(acorr / acorr[0])
 
 
@@ -458,17 +518,22 @@ def coherence_time(trace: FieldTrace) -> float:
 
     Raises EstimationError when |g1| never decays below the threshold
     within half the trace, e.g. for a coherent field.
+
+    The decay is first searched over a short lag range, whose lag sums cost
+    block-wise FFTs only; the full half trace is searched only if |g1|
+    stays above the threshold there.
     """
-    max_lag = trace.n_samples // 2
-    g1 = _g1_magnitude(trace, max_lag)
-    below = np.nonzero(g1 < G1_DECAY_THRESHOLD)[0]
-    if below.size == 0:
-        raise EstimationError(
-            "field correlation does not decay below "
-            f"{G1_DECAY_THRESHOLD} within half the trace"
-        )
-    k_star = int(below[0])
-    return float(2.0 * np.trapezoid(g1[: k_star + 1] ** 2, dx=trace.dt))
+    half = trace.n_samples // 2
+    for max_lag in sorted({min(_LAG_BLOCK // 4, half), half}):
+        g1 = _g1_magnitude(trace, max_lag)
+        below = np.flatnonzero(g1 < G1_DECAY_THRESHOLD)
+        if below.size:
+            k_star = int(below[0])
+            return float(2.0 * np.trapezoid(g1[: k_star + 1] ** 2, dx=trace.dt))
+    raise EstimationError(
+        "field correlation does not decay below "
+        f"{G1_DECAY_THRESHOLD} within half the trace"
+    )
 
 
 def estimate_bandwidth_hz(trace: FieldTrace, n_segments: int = 64) -> float:

@@ -249,3 +249,86 @@ def test_cli_hbt_summary(tmp_path):
     assert summary["realizations"] == 4
     scan_rows = (out / "hbt_sld.csv").read_text().splitlines()
     assert scan_rows[1] == "tau_s,raw,filtered"
+
+
+def run_cli_error(capsys, args):
+    """Exit code and the stderr lines of one CLI call."""
+    code = run_cli(args)
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_cli_sweep_beyond_poisson_limit_is_config_error(tmp_path, capsys):
+    # 1 MW gives expected counts near 1e22, past numpy's Poisson limit.
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text("experiment:\n  power_max_w: 1.0e+6\n")
+    code, err = run_cli_error(capsys, ["sweep", "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error [config-error]:")
+    assert "Poisson" in err[0]
+
+
+@pytest.mark.parametrize("bad", ["-1", str(2**64), "1.5"])
+def test_cli_rejects_seed_out_of_range(tmp_path, capsys, monkeypatch, bad):
+    out = tmp_path / "o"
+    cfg = tmp_path / "seed.yaml"
+    cfg.write_text(f"master_seed: {bad}\n")
+    calls = [
+        (["simulate", "--config", cfg, "--out", out], None),
+        (["simulate", "--out", out], bad),
+    ]
+    if bad != "1.5":  # argparse itself refuses a non-integer --seed
+        calls.append((["simulate", "--seed", bad, "--out", out], None))
+    for args, env in calls:
+        if env is None:
+            monkeypatch.delenv("PHOTONSTAT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("PHOTONSTAT_SEED", env)
+        code, err = run_cli_error(capsys, args)
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith("error [config-error]:")
+    assert not out.exists()
+
+
+def test_cli_accepts_largest_seed(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli(["sweep", "--out", out, "--seed", 2**64 - 1]) == 0
+    payload = json.loads((out / "sweep_DCM__sld.json").read_text())
+    assert payload["master_seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "yaml_text",
+    [
+        "experiment:\n  n_powers: abc\n",
+        "experiment:\n  n_powers: 12.5\n",
+        "experiment:\n  power_min_w: low\n",
+        "experiment:\n  repeats: [5]\n",
+        "experiment:\n  ratio_band: [1.6]\n",
+        "experiment:\n  ratio_band: [1.6, high]\n",
+        "experiment: 5\n",
+        "noise: maybe\n",
+        "threads: two\n",
+        "g2:\n  n_delays: many\n",
+        "hbt:\n  realizations: true\n",
+    ],
+)
+def test_cli_rejects_non_numeric_config(tmp_path, capsys, yaml_text):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml_text)
+    code, err = run_cli_error(
+        capsys, ["reproduce-fig2", "--config", cfg, "--out", tmp_path / "o"]
+    )
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error [config-error]:")
+
+
+def test_config_numbers_accept_yaml_spellings(tmp_path):
+    # PyYAML reads 1e-3 (no dot) as text; float() takes it, as before.
+    cfg = tmp_path / "ok.yaml"
+    cfg.write_text("experiment:\n  power_max_w: 1e-3\n  n_powers: 12.0\n")
+    data = load_config(cfg)
+    assert data["experiment"]["power_max_w"] == "1e-3"
+    assert data["experiment"]["n_powers"] == 12.0

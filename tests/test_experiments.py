@@ -113,6 +113,18 @@ def test_sweep_rejects_non_finite_powers(noise, bad):
             power_sweep(source_preset("sld"), absorber, chain, powers, 2, 1, noise=noise)
 
 
+def test_sweep_refuses_counts_beyond_poisson_limit():
+    # At 1 MW the expected counts (~1e22) exceed what numpy can draw; the
+    # noise-off expectation is still a float.
+    absorber = calibrated_absorber()
+    chain = chain_preset("paper-EMCCD")
+    powers = [1e-3, 1e6]
+    with pytest.raises(InvalidArgumentError, match="Poisson"):
+        power_sweep(source_preset("sld"), absorber, chain, powers, 2, 1)
+    sweep = power_sweep(source_preset("sld"), absorber, chain, powers, 2, 1, noise=False)
+    assert sweep.counts()[-1] > 1e19
+
+
 def test_sweep_noise_off_records_equal_per_power_expectations():
     absorber = calibrated_absorber()
     chain = chain_preset("paper-EMCCD", dark_rate=20.0)

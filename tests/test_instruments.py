@@ -69,6 +69,15 @@ def test_counter_poisson_statistics():
     assert abs(draws.var(ddof=1) - expectation) < 4 * se_var
 
 
+def test_counter_refuses_mean_beyond_poisson_limit():
+    c = chain()
+    assert photon_counter(1e20, c, seed=1, noise=False) == pytest.approx(1.8e19)
+    for bad in (1e20, np.inf, np.nan):
+        with pytest.raises(InvalidArgumentError, match="Poisson"):
+            photon_counter(bad, c, seed=1)
+    assert photon_counter(5e18, c, seed=1) > 0  # 9e17 expected: drawable
+
+
 def test_counter_dark_only():
     c = chain(dark_rate=100.0, integration_time=2.0)
     assert photon_counter(0.0, c, seed=3, noise=False) == pytest.approx(200.0)
@@ -139,6 +148,13 @@ def test_scan_matches_reference_loop(statistics):
     fringe = 2 * np.pi / trace.carrier_freq
     resolved = np.arange(0.0, 2.2 * TAU_C_976, fringe / 8.0)
     assert_matches_reference(trace, resolved, filter_mode="numeric")
+
+
+def test_scan_matches_reference_block_wise():
+    # 48 000 samples: the intensity and a^2 lag sums go block-wise.
+    dt = TAU_C_976 / 8
+    trace = make_trace(SLD, 6_000 * TAU_C_976, dt, 22)
+    assert_matches_reference(trace, np.arange(0.0, 30 * TAU_C_976 + dt, TAU_C_976 / 2))
 
 
 @st.composite

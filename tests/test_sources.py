@@ -10,8 +10,11 @@ from photonstat.correlation import gn_zero
 from photonstat.errors import EstimationError, InvalidArgumentError, SamplingError
 from photonstat.seeding import rng_for
 from photonstat.sources import (
+    G1_DECAY_THRESHOLD,
+    FieldTrace,
     SourceSpec,
     _fft_len,
+    _lag_sums,
     coherence_time,
     estimate_bandwidth_hz,
     make_coherent_trace,
@@ -234,6 +237,62 @@ def test_coherence_time_lorentzian():
     assert tau_c == pytest.approx(1.0 / (np.pi * BW), rel=1e-12)
     trace = quick_trace(spec, n_tauc=20_000, per_tauc=64, seed=6)
     assert coherence_time(trace) == pytest.approx(tau_c, rel=0.05)
+
+
+def reference_coherence_time(trace):
+    """coherence_time from the full fft/ifft autocorrelation it replaced."""
+    e = trace.samples
+    n = e.size
+    max_lag = n // 2
+    nfft = _fft_len(n + max_lag + 1)
+    spec = np.fft.fft(e, nfft)
+    acorr = np.fft.ifft(spec * np.conj(spec))[: max_lag + 1]
+    acorr = acorr / (n - np.arange(max_lag + 1))
+    g1 = np.abs(acorr / acorr[0])
+    k_star = int(np.nonzero(g1 < G1_DECAY_THRESHOLD)[0][0])
+    return float(2.0 * np.trapezoid(g1[: k_star + 1] ** 2, dx=trace.dt))
+
+
+def random_walk_phase_trace(n, step_var, seed):
+    # |g1(k)| = exp(-k step_var / 2): decays below 0.05 near k = 6 / step_var.
+    phase = np.cumsum(rng_for(seed).normal(0.0, np.sqrt(step_var), n))
+    return FieldTrace(np.exp(1j * phase), 1e-15, 1e15, seed)
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "lorentzian"])
+def test_coherence_time_matches_full_autocorrelation(shape):
+    # 80 000 samples: the decay is found by the short block-wise search.
+    trace = quick_trace(thermal_spec(shape=shape), n_tauc=5_000, per_tauc=16, seed=7)
+    assert coherence_time(trace) == pytest.approx(
+        reference_coherence_time(trace), rel=1e-12
+    )
+
+
+def test_coherence_time_beyond_short_search():
+    # The decay lies past the short search range, so all n/2 lags are used.
+    trace = random_walk_phase_trace(60_000, 6.0 / 4_000, seed=2)
+    assert coherence_time(trace) == pytest.approx(
+        reference_coherence_time(trace), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "int"])
+@pytest.mark.parametrize("n, max_lag", [(40_000, 50), (40_000, 19_999), (3_000, 7)])
+def test_lag_sums_match_brute_force(kind, n, max_lag):
+    # (40 000, 50) runs the block-wise path, the others one padded FFT.
+    rng = rng_for(n + max_lag, 4)
+    x = {
+        "real": rng.standard_normal(n),
+        "complex": rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        "int": rng.poisson(2.0, n),
+    }[kind]
+    sums = _lag_sums(x, max_lag)
+    assert sums.shape == (max_lag + 1,)
+    assert np.iscomplexobj(sums) == (kind == "complex")
+    lags = np.unique([0, 1, 7, max_lag // 2, max_lag - 1, max_lag])
+    brute = np.array([np.vdot(x[: n - k], x[k:]) for k in lags])
+    tol = 1e-12 * float(np.vdot(x, x).real)
+    assert np.all(np.abs(sums[lags] - brute) <= tol)
 
 
 def test_coherence_time_needs_decay():
