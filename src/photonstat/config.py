@@ -146,7 +146,7 @@ def _converts(value, kind) -> bool:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         return False
-    return not isinstance(value, float) or number == value
+    return kind is float or not isinstance(value, float) or number == value
 
 
 def load_config(path=None) -> dict:

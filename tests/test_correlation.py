@@ -1,8 +1,6 @@
 """Correlation estimators: symmetry, convergence, bootstrap calibration,
 photon-count histograms."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
