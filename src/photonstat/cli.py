@@ -46,8 +46,11 @@ from .errors import (
     SamplingError,
 )
 from .experiments import (
+    Fig2Panel,
     SweepResult,
     calibrate_dipole,
+    error_budget,
+    fig2_panel,
     fit_quadratic,
     power_sweep,
     reproduce_fig2,
@@ -419,7 +422,7 @@ def _read_sweep_csv(path: Path) -> SweepResult:
             record = (float(p_exc), float(counts), int(rep))
         except ValueError:
             record = None
-        if record is None or not np.all(np.isfinite(record[:2])):
+        if record is None or not (0 < record[0] < np.inf and 0 <= record[1] < np.inf):
             raise FormatError(f"{path}: malformed row {row!r}")
         records.append(record)
     stem = path.stem
@@ -432,13 +435,11 @@ def _read_sweep_csv(path: Path) -> SweepResult:
     )
 
 
-def _panel_svg(
-    cfg: RunConfig, fluor_name: str, sweeps: dict, fits: dict
-) -> str:
+def _panel_svg(cfg: RunConfig, fluor_name: str, panel: Fig2Panel) -> str:
     series = []
     fit_lines = []
     markers = ("square", "circle")
-    for k, (key, sweep) in enumerate(sweeps.items()):
+    for k, (key, sweep) in enumerate(panel.sweeps.items()):
         series.append(
             {
                 "label": key,
@@ -447,7 +448,7 @@ def _panel_svg(
                 "marker": markers[k % 2],
             }
         )
-        fit_lines.append({"label": key, "a": fits[key].a, "b": 2.0})
+        fit_lines.append({"label": key, "a": panel.fits[key].a, "b": 2.0})
     return loglog_panel_svg(
         title=fluor_name,
         series=series,
@@ -467,6 +468,44 @@ def _fit_payload(fit) -> dict:
         "b_stderr": exp_check.b_stderr if exp_check else None,
         "chi2_reduced": fit.residual_stats.get("chi2_reduced"),
     }
+
+
+def _panel_payload(
+    cfg: RunConfig, plots: Path, fluor_name: str, panel: Fig2Panel
+) -> dict:
+    """Write the panel's plot; return its report.json entry."""
+    with open(plots / f"{fluor_name}.svg", "w") as fh:
+        fh.write(_panel_svg(cfg, fluor_name, panel))
+    return {
+        "fluorophore": fluor_name,
+        "ratio": panel.ratio.value,
+        "ratio_stderr": panel.ratio.stderr,
+        "within_band": panel.within_band,
+        "fits": {key: _fit_payload(fit) for key, fit in panel.fits.items()},
+    }
+
+
+def _write_report(
+    cfg: RunConfig, out: Path, fit_rows: list, panels: list, all_within: bool
+) -> None:
+    """fits.csv and report.json, shared by reproduce-fig2 and report."""
+    exp = cfg.data["experiment"]
+    _write_fits_csv(out / "fits.csv", fit_rows, _meta_line(cfg))
+    budget = error_budget(
+        cfg.noise, float(exp["panel_scale_error"]), float(exp["arm_scale_error"])
+    )
+    _write_json(
+        out / "report.json",
+        {
+            "panels": panels,
+            "all_within_band": all_within,
+            "ratio_band": list(exp["ratio_band"]),
+            "noise": cfg.noise,
+            "error_budget": budget,
+            "statistics_mode": exp["statistics_mode"],
+            **_meta(cfg),
+        },
+    )
 
 
 def _write_fits_csv(path: Path, rows: list, metadata: str) -> None:
@@ -518,42 +557,19 @@ def cmd_reproduce_fig2(cfg: RunConfig, args: argparse.Namespace) -> None:
     fit_rows = []
     panel_payload = []
     for fluor_name, panel in zip(fluor_names, report.panels):
-        fits_payload = {}
-        g2_values = {}
         for key, sweep in panel.sweeps.items():
             _write_sweep_csv(
                 out / f"{fluor_name}__{key}.csv", sweep, _meta_line(cfg)
             )
-            fit = panel.fits[key]
-            fit_rows.append((f"{fluor_name}/{key}", fit))
-            fits_payload[key] = _fit_payload(fit)
-            g2_values[key] = sweep.g2_value
-        with open(plots / f"{fluor_name}.svg", "w") as fh:
-            fh.write(_panel_svg(cfg, fluor_name, panel.sweeps, panel.fits))
+            fit_rows.append((f"{fluor_name}/{key}", panel.fits[key]))
         panel_payload.append(
             {
-                "fluorophore": fluor_name,
+                **_panel_payload(cfg, plots, fluor_name, panel),
                 "label": panel.fluorophore,
-                "ratio": panel.ratio.value,
-                "ratio_stderr": panel.ratio.stderr,
-                "within_band": panel.within_band,
-                "fits": fits_payload,
-                "g2_values": g2_values,
+                "g2_values": {k: s.g2_value for k, s in panel.sweeps.items()},
             }
         )
-    _write_fits_csv(out / "fits.csv", fit_rows, _meta_line(cfg))
-    _write_json(
-        out / "report.json",
-        {
-            "panels": panel_payload,
-            "all_within_band": report.all_within_band,
-            "ratio_band": list(report.ratio_band),
-            "noise": report.noise,
-            "error_budget": report.error_budget,
-            "statistics_mode": exp["statistics_mode"],
-            **_meta(cfg),
-        },
-    )
+    _write_report(cfg, out, fit_rows, panel_payload, report.all_within_band)
     for fluor_name, panel in zip(fluor_names, report.panels):
         flag = "ok" if panel.within_band else "OUT OF BAND"
         print(
@@ -601,33 +617,20 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
         sweeps = {k: found[k] for k in _config_order(found, exp["sources"])}
         fits = {key: fit_quadratic(sweep) for key, sweep in sweeps.items()}
         fit_rows += [(f"{fluor_name}/{key}", fit) for key, fit in fits.items()]
-        payload = {
-            "fluorophore": fluor_name,
-            "fits": {key: _fit_payload(fit) for key, fit in fits.items()},
-        }
-        keys = list(sweeps)
-        if len(keys) == 2:
-            from .experiments import enhancement_ratio
-
-            ratio = enhancement_ratio(fits[keys[0]], fits[keys[1]])
-            within = band[0] <= ratio.value <= band[1]
-            all_within = all_within and within
-            payload.update(
-                ratio=ratio.value, ratio_stderr=ratio.stderr, within_band=within
+        if len(sweeps) != 2:
+            panel_payload.append(
+                {
+                    "fluorophore": fluor_name,
+                    "fits": {key: _fit_payload(fit) for key, fit in fits.items()},
+                }
             )
-            with open(plots / f"{fluor_name}.svg", "w") as fh:
-                fh.write(_panel_svg(cfg, fluor_name, sweeps, fits))
-        panel_payload.append(payload)
-    _write_fits_csv(out / "fits.csv", fit_rows, _meta_line(cfg))
-    _write_json(
-        out / "report.json",
-        {
-            "panels": panel_payload,
-            "all_within_band": all_within,
-            "ratio_band": list(band),
-            **_meta(cfg),
-        },
-    )
+            continue
+        panel = fig2_panel(
+            fluor_name, sweeps, fits, cfg.noise, float(exp["arm_scale_error"]), band
+        )
+        all_within = all_within and panel.within_band
+        panel_payload.append(_panel_payload(cfg, plots, fluor_name, panel))
+    _write_report(cfg, out, fit_rows, panel_payload, all_within)
     print(f"report rebuilt from {len(sweep_files)} sweep files -> {out / 'report.json'}")
 
 

@@ -19,10 +19,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import (
     DegenerateInputError,
+    EstimationError,
     InsufficientDataError,
     InvalidArgumentError,
 )
@@ -41,6 +41,8 @@ __all__ = [
     "power_sweep",
     "fit_quadratic",
     "enhancement_ratio",
+    "fig2_panel",
+    "error_budget",
     "reproduce_fig2",
 ]
 
@@ -207,11 +209,13 @@ def fit_quadratic(sweep: SweepResult) -> FitResult:
     """
     x = sweep.powers()
     y = sweep.counts()
-    distinct = np.unique(x)
+    distinct, group = np.unique(x, return_inverse=True)
     if distinct.size < 3:
         raise InsufficientDataError("need at least 3 distinct powers to fit")
-    if np.all(y == 0):
-        raise DegenerateInputError("all counts are zero; nothing to fit")
+    if np.all(y == y[0]):
+        raise DegenerateInputError(
+            f"counts are {y[0]:g} at every power; no power law to fit"
+        )
     weights = 1.0 / np.maximum(y, 1.0)
     sw_x4 = float(np.sum(weights * x**4))
     a = float(np.sum(weights * y * x**2)) / sw_x4
@@ -225,25 +229,80 @@ def fit_quadratic(sweep: SweepResult) -> FitResult:
     if distinct.size >= 5 and span_decades >= 0.5:
         # Rescale x to order unity so the power-law fit is well conditioned.
         x_ref = float(np.exp(np.mean(np.log(x))))
-        u = x / x_ref
-        a_u0 = a * x_ref**2
-
-        def _power_law(uu, a_u, b):
-            return a_u * np.power(uu, b)
-
-        popt, pcov = curve_fit(
-            _power_law,
-            u,
-            y,
-            p0=(a_u0, 2.0),
-            sigma=np.sqrt(np.maximum(y, 1.0)),
-            absolute_sigma=True,
-            maxfev=10000,
-        )
-        exponent = ExponentCheck(
-            b=float(popt[1]), b_stderr=float(np.sqrt(pcov[1, 1]))
-        )
+        # Repeats at one power enter the weighted sum only through their
+        # summed weight and weighted mean count, so fit those per power.
+        w_sum = np.bincount(group, weights)
+        y_mean = np.bincount(group, weights * y) / w_sum
+        b, b_stderr = _fit_power_law(np.log(distinct / x_ref), y_mean, w_sum)
+        exponent = ExponentCheck(b=b, b_stderr=b_stderr)
     return FitResult(a=a, a_stderr=a_stderr, exponent_check=exponent, residual_stats=stats)
+
+
+# Power-law fit steps, in units of the parameters' standard errors: it
+# stops below _FIT_STEP_TOL, far inside the fit's own uncertainty, and takes
+# steps below _FIT_TRUSTED_STEP without checking the cost, as they lie in
+# the quadratic region and the cost change can sink into its round-off.
+_FIT_STEP_TOL = 1e-8
+_FIT_TRUSTED_STEP = 1e-3
+_FIT_MAX_ITER = 100
+
+
+def _fit_power_law(log_u: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple:
+    """(b, stderr of b) of the weighted least-squares fit of y = A u^b.
+
+    Minimises sum w (y - A u^b)^2 over (log A, b) from the weighted log-log
+    line by Newton steps (Gauss-Newton where the Hessian is not positive
+    definite), halving any step that does not lower the sum. The error is
+    the b entry of inv(J^T W J), the weights taken as absolute inverse
+    variances, as curve_fit(..., absolute_sigma=True) reports it.
+    """
+    pos = y > 0
+    lx, ly, lw = log_u[pos], np.log(y[pos]), w[pos] * y[pos] ** 2
+    if np.unique(lx).size < 2:
+        raise DegenerateInputError("power-law fit needs counts at 2 or more powers")
+    # Start from the line log y = log A + b log u, weighted by 1/var(log y).
+    dx = lx - np.dot(lw, lx) / lw.sum()
+    b = np.dot(lw * dx, ly) / np.dot(lw * dx, dx)
+    log_a = np.dot(lw, ly - b * lx) / lw.sum()
+    log_u2 = log_u**2
+    model = np.exp(log_a + b * log_u)
+    resid = y - model
+    cost = np.dot(w * resid, resid)
+    for _ in range(_FIT_MAX_ITER):
+        # With f = exp(log A + b log u), every second derivative of f is f
+        # times a power of log u, so the Hessian of cost/2 is the normal
+        # matrix with weights w f (f - r) in place of w f^2.
+        wf = w * model
+        wfr = wf * resid
+        g_a, g_b = wfr.sum(), np.dot(wfr, log_u)
+        q = wf * model
+        n_aa, n_ab, n_bb = q.sum(), np.dot(q, log_u), np.dot(q, log_u2)
+        det = n_aa * n_bb - n_ab**2
+        if not (det > 0 and np.isfinite(det)):
+            raise EstimationError(
+                "power-law fit: normal matrix singular or out of range"
+            )
+        q = q - wfr
+        h_aa, h_ab, h_bb = q.sum(), np.dot(q, log_u), np.dot(q, log_u2)
+        h_det = h_aa * h_bb - h_ab**2
+        if not (h_aa > 0 and h_det > 0):
+            h_aa, h_ab, h_bb, h_det = n_aa, n_ab, n_bb, det
+        step_a = (h_bb * g_a - h_ab * g_b) / h_det
+        step_b = (h_aa * g_b - h_ab * g_a) / h_det
+        # Step length in units of the parameters' standard errors.
+        size = np.sqrt(max(step_a**2 * det / n_bb, step_b**2 * det / n_aa))
+        if size <= _FIT_STEP_TOL:
+            return float(b), float(np.sqrt(n_aa / det))
+        while True:
+            trial = np.exp(log_a + step_a + (b + step_b) * log_u)
+            trial_resid = y - trial
+            trial_cost = np.dot(w * trial_resid, trial_resid)
+            if trial_cost <= cost or size <= _FIT_TRUSTED_STEP:
+                break
+            step_a, step_b, size = step_a / 2.0, step_b / 2.0, size / 2.0
+        log_a, b = log_a + step_a, b + step_b
+        model, resid, cost = trial, trial_resid, trial_cost
+    raise EstimationError("power-law fit did not converge")
 
 
 def enhancement_ratio(fit_numer: FitResult, fit_denom: FitResult) -> RatioEstimate:
@@ -251,6 +310,42 @@ def enhancement_ratio(fit_numer: FitResult, fit_denom: FitResult) -> RatioEstima
     return rate_ratio(
         fit_numer.a, fit_denom.a, fit_numer.a_stderr, fit_denom.a_stderr
     )
+
+
+def fig2_panel(
+    fluorophore: str,
+    sweeps: dict,
+    fits: dict,
+    noise: bool,
+    arm_scale_error: float,
+    ratio_band: tuple,
+) -> Fig2Panel:
+    """One Fig. 2 panel from its two fits, keyed [bunched, reference].
+
+    The ratio is a(bunched)/a(reference). Fit errors cover shot noise only,
+    so with noise on the simulated source-asymmetric scale systematic (one
+    lognormal factor of log-sigma arm_scale_error per arm) is folded in.
+    """
+    ratio = enhancement_ratio(*fits.values())
+    if noise and arm_scale_error > 0:
+        sys_err = ratio.value * np.sqrt(2.0) * arm_scale_error
+        ratio = RatioEstimate(ratio.value, float(np.hypot(ratio.stderr, sys_err)))
+    within = ratio_band[0] <= ratio.value <= ratio_band[1]
+    return Fig2Panel(fluorophore, sweeps, fits, ratio, within)
+
+
+def error_budget(noise: bool, panel_scale_error: float, arm_scale_error: float) -> dict:
+    """The count-scale systematics a Fig. 2 report simulates."""
+    return {
+        "panel_scale_fraction": panel_scale_error if noise else 0.0,
+        "source_asymmetry_fraction": arm_scale_error if noise else 0.0,
+        "note": (
+            "overall count-scale uncertainty of about "
+            f"{panel_scale_error:.0%} per panel; the source-asymmetric "
+            f"residual of about {arm_scale_error:.0%} is what enters the "
+            "enhancement ratios"
+        ),
+    }
 
 
 def _scale_factors(
@@ -345,46 +440,21 @@ def reproduce_fig2(
 
     panels = []
     for i, absorber in enumerate(absorbers):
-        sweeps = {}
-        fits = {}
-        for j, source in enumerate(sources):
-            sweep, fit = results[i * n_src + j]
-            key = source.label or source.statistics
-            sweeps[key] = sweep
-            fits[key] = fit
-        keys = list(sweeps)
-        ratio = enhancement_ratio(fits[keys[0]], fits[keys[1]])
-        if noise and arm_scale_error > 0:
-            # Fit errors cover shot noise only; fold in the simulated
-            # source-asymmetric scale systematic (one factor per arm).
-            sys_err = ratio.value * np.sqrt(2.0) * arm_scale_error
-            ratio = RatioEstimate(
-                ratio.value, float(np.hypot(ratio.stderr, sys_err))
-            )
-        within = ratio_band[0] <= ratio.value <= ratio_band[1]
+        sweeps, fits = zip(*results[i * n_src : (i + 1) * n_src])
         panels.append(
-            Fig2Panel(
-                fluorophore=absorber.label,
-                sweeps=sweeps,
-                fits=fits,
-                ratio=ratio,
-                within_band=within,
+            fig2_panel(
+                absorber.label,
+                dict(zip(source_keys, sweeps)),
+                dict(zip(source_keys, fits)),
+                noise,
+                arm_scale_error,
+                ratio_band,
             )
         )
-    budget = {
-        "panel_scale_fraction": panel_scale_error if noise else 0.0,
-        "source_asymmetry_fraction": arm_scale_error if noise else 0.0,
-        "note": (
-            "overall count-scale uncertainty of about "
-            f"{panel_scale_error:.0%} per panel; the source-asymmetric "
-            f"residual of about {arm_scale_error:.0%} is what enters the "
-            "enhancement ratios"
-        ),
-    }
     return Fig2Report(
         panels=panels,
         master_seed=master_seed,
         noise=noise,
         ratio_band=tuple(ratio_band),
-        error_budget=budget,
+        error_budget=error_budget(noise, panel_scale_error, arm_scale_error),
     )

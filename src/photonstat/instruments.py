@@ -65,10 +65,11 @@ class DetectionChain:
             value = getattr(self, name)
             if not 0 <= value <= 1:
                 raise InvalidArgumentError(f"{name} must be in [0, 1]")
-        if self.dark_rate < 0:
-            raise InvalidArgumentError("dark_rate must be >= 0")
-        if self.integration_time <= 0:
-            raise InvalidArgumentError("integration_time must be positive")
+        # Chained comparisons are False for NaN, so these refuse NaN and inf.
+        if not 0 <= self.dark_rate < np.inf:
+            raise InvalidArgumentError("dark_rate must be >= 0 and finite")
+        if not 0 < self.integration_time < np.inf:
+            raise InvalidArgumentError("integration_time must be positive and finite")
         if not 0 < self.power_correction_eta <= 1:
             raise InvalidArgumentError("power_correction_eta must be in (0, 1]")
 

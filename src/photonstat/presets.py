@@ -20,11 +20,10 @@ to zero. Measured powers are corrected to the sample with eta = 0.61.
 from __future__ import annotations
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import ConfigError
 from .instruments import DetectionChain
-from .sources import SourceSpec
+from .sources import SPEED_OF_LIGHT, SourceSpec
 from .tpa import AbsorberSpec
 
 __all__ = [

@@ -19,11 +19,11 @@ Every generator is a pure function of (spec, duration, dt, seed).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import (
     DegenerateInputError,
@@ -47,6 +47,8 @@ __all__ = [
     "nominal_g2",
 ]
 
+# Speed of light in vacuum, m/s (exact in SI).
+SPEED_OF_LIGHT = 299792458.0
 STATISTICS_CLASSES = ("thermal-gaussian", "coherent", "pseudo-thermal", "tunable")
 SPECTRAL_SHAPES = ("gaussian", "lorentzian")
 
@@ -75,8 +77,10 @@ class FieldTrace:
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.dt <= 0:
-            raise InvalidArgumentError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise InvalidArgumentError("dt must be positive and finite")
+        if not math.isfinite(self.carrier_freq):
+            raise InvalidArgumentError("carrier_freq must be finite")
         if self.samples.size < 2:
             raise InvalidArgumentError("a trace needs at least 2 samples")
 
@@ -132,20 +136,22 @@ class SourceSpec:
             raise InvalidArgumentError(
                 f"unknown bandwidth convention {self.bandwidth_convention!r}"
             )
-        if self.center_wavelength <= 0:
-            raise InvalidArgumentError("center_wavelength must be positive")
-        if self.bandwidth_fwhm <= 0:
-            raise InvalidArgumentError("bandwidth must be positive")
-        if self.mean_power <= 0:
-            raise InvalidArgumentError("mean_power must be positive")
+        # Chained comparisons are False for NaN, so these refuse NaN and inf.
+        if not 0 < self.center_wavelength < math.inf:
+            raise InvalidArgumentError("center_wavelength must be positive and finite")
+        if not 0 < self.bandwidth_fwhm < math.inf:
+            raise InvalidArgumentError("bandwidth must be positive and finite")
+        if not 0 < self.mean_power < math.inf:
+            raise InvalidArgumentError("mean_power must be positive and finite")
         if self.mode_count < 1:
             raise InvalidArgumentError("pseudo-thermal mode count must be >= 1")
-        if self.target_g2 < 1.0:
+        if not 1.0 <= self.target_g2 < math.inf:
             raise InvalidArgumentError(
-                "target_g2 < 1 is not reachable by a classical intensity mixture"
+                "target_g2 must be finite; below 1 it is not reachable by a "
+                "classical intensity mixture"
             )
-        if self.amplitude_noise < 0:
-            raise InvalidArgumentError("amplitude_noise must be >= 0")
+        if not 0 <= self.amplitude_noise < math.inf:
+            raise InvalidArgumentError("amplitude_noise must be >= 0 and finite")
 
     @property
     def bandwidth_hz(self) -> float:

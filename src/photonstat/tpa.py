@@ -56,12 +56,13 @@ class AbsorberSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.omega_f <= 0:
-            raise InvalidArgumentError("omega_f must be positive")
-        if self.delta_omega_f <= 0:
-            raise InvalidArgumentError("delta_omega_f must be positive")
-        if self.dipole_sq <= 0:
-            raise InvalidArgumentError("dipole_sq must be positive")
+        # Chained comparisons are False for NaN, so these refuse NaN and inf.
+        if not 0 < self.omega_f < np.inf:
+            raise InvalidArgumentError("omega_f must be positive and finite")
+        if not 0 < self.delta_omega_f < np.inf:
+            raise InvalidArgumentError("delta_omega_f must be positive and finite")
+        if not 0 < self.dipole_sq < np.inf:
+            raise InvalidArgumentError("dipole_sq must be positive and finite")
         if not 0 < self.quantum_yield <= 1:
             raise InvalidArgumentError("quantum_yield must be in (0, 1]")
 

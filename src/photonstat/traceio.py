@@ -11,17 +11,20 @@ Layout (little-endian):
     32      8     uint64 seed_id
     40      16*N  interleaved float64 (re, im) envelope samples
 
-Files with a wrong magic, an unsupported version, or a payload shorter
-than the declared count raise FormatError.
+The interleaved (re, im) float64 pairs are exactly the "<c16" dtype.
+Files with a wrong magic, an unsupported version, a payload of any length
+other than 16*N bytes, or header values FieldTrace refuses (dt not
+positive and finite, a non-finite carrier, N < 2) raise FormatError.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidArgumentError
 from .sources import FieldTrace
 
 __all__ = ["write_trace", "read_trace", "TRACE_MAGIC", "TRACE_VERSION"]
@@ -33,10 +36,7 @@ _HEADER = struct.Struct("<4sIddQQ")
 
 def write_trace(trace: FieldTrace, path) -> None:
     """Write a FieldTrace to the documented binary layout."""
-    samples = np.ascontiguousarray(trace.samples, dtype=np.complex128)
-    interleaved = np.empty(2 * samples.size, dtype="<f8")
-    interleaved[0::2] = samples.real
-    interleaved[1::2] = samples.imag
+    samples = np.ascontiguousarray(trace.samples, dtype="<c16")
     header = _HEADER.pack(
         TRACE_MAGIC,
         TRACE_VERSION,
@@ -47,25 +47,30 @@ def write_trace(trace: FieldTrace, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(interleaved.tobytes())
+        samples.tofile(fh)
 
 
 def read_trace(path) -> FieldTrace:
     """Read a FieldTrace written by write_trace."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise FormatError("trace file shorter than its header")
-    magic, version, dt, carrier_freq, count, seed_id = _HEADER.unpack_from(blob)
-    if magic != TRACE_MAGIC:
-        raise FormatError(f"bad magic {magic!r}; not a trace file")
-    if version != TRACE_VERSION:
-        raise FormatError(f"unsupported trace version {version}")
-    expected = _HEADER.size + 16 * count
-    if len(blob) < expected:
-        raise FormatError(
-            f"truncated trace file: {len(blob)} bytes, expected {expected}"
-        )
-    flat = np.frombuffer(blob, dtype="<f8", count=2 * count, offset=_HEADER.size)
-    samples = flat[0::2] + 1j * flat[1::2]
-    return FieldTrace(samples, dt, carrier_freq, seed_id)
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FormatError("trace file shorter than its header")
+        magic, version, dt, carrier_freq, count, seed_id = _HEADER.unpack(header)
+        if magic != TRACE_MAGIC:
+            raise FormatError(f"bad magic {magic!r}; not a trace file")
+        if version != TRACE_VERSION:
+            raise FormatError(f"unsupported trace version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER.size + 16 * count
+        if size != expected:
+            raise FormatError(
+                f"trace file has {size} bytes; its header declares {expected}"
+            )
+        samples = np.fromfile(fh, dtype="<c16", count=count)
+    if samples.size != count:
+        raise FormatError(f"trace file ended after {samples.size} of {count} samples")
+    try:
+        return FieldTrace(samples, dt, carrier_freq, seed_id)
+    except InvalidArgumentError as exc:
+        raise FormatError(f"bad trace header: {exc}") from exc

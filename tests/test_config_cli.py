@@ -1,9 +1,15 @@
 """Configuration loading, hashing, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import photonstat
 
 from photonstat.config import (
     DEFAULT_CONFIG,
@@ -187,9 +193,12 @@ def test_cli_report_rebuild_matches(tmp_path):
     assert run_cli(["report", "--out", out, "--seed", 31]) == 0
     rebuilt = json.loads((out / "report.json").read_text())
     assert (out / "fits.csv").read_bytes() == fits_first
-    for p1, p2 in zip(first["panels"], rebuilt["panels"]):
-        assert p1["fits"] == p2["fits"]
-        assert p1["ratio"] == pytest.approx(p2["ratio"], rel=1e-12)
+    first_panels, rebuilt_panels = first.pop("panels"), rebuilt.pop("panels")
+    assert rebuilt == first
+    assert len(rebuilt_panels) == len(first_panels) == 3
+    keys = ("fluorophore", "ratio", "ratio_stderr", "within_band", "fits")
+    for p1, p2 in zip(first_panels, rebuilt_panels):
+        assert {k: p2[k] for k in keys} == {k: p1[k] for k in keys}
 
 
 def test_cli_report_ignores_sweep_command_csvs(tmp_path):
@@ -212,7 +221,17 @@ def test_cli_report_ignores_sweep_command_csvs(tmp_path):
 
 @pytest.mark.parametrize(
     "row",
-    ["abc,10,0", "1e-4,many,0", "1e-4,10,first", "1e-4,nan,0", "inf,10,0", "1e-4,10"],
+    [
+        "abc,10,0",
+        "1e-4,many,0",
+        "1e-4,10,first",
+        "1e-4,nan,0",
+        "inf,10,0",
+        "1e-4,10",
+        "-1e-4,10,0",
+        "0,10,0",
+        "1e-4,-3,0",
+    ],
 )
 def test_cli_report_rejects_malformed_sweep_csv(tmp_path, capsys, row):
     out = tmp_path / "fig2"
@@ -332,3 +351,79 @@ def test_config_numbers_accept_yaml_spellings(tmp_path):
     data = load_config(cfg)
     assert data["experiment"]["power_max_w"] == "1e-3"
     assert data["experiment"]["n_powers"] == 12.0
+
+
+_NO_SCIPY = """
+import importlib.abc
+import runpy
+import sys
+
+blocked = []
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            blocked.append(name)
+            raise ImportError(f"{name} is not installed")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import photonstat  # noqa: E402,F401
+
+sys.argv = ["photonstat", *sys.argv[1:]]
+try:
+    runpy.run_module("photonstat.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print(f"exit={code} blocked={blocked} loaded={loaded}")
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # Imports the package and runs `python -m photonstat.cli sweep` in a
+    # fresh interpreter in which any scipy import fails.
+    src = str(Path(photonstat.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, "sweep", "--out", str(tmp_path / "o")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit=0 blocked=[] loaded=[]"
+    assert (tmp_path / "o" / "sweep_DCM__sld.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, yaml_text",
+    [
+        ("simulate", "sources: {bad: {preset: sld, mean_power: .nan}}"),
+        ("simulate", "sources: {bad: {preset: sld, mean_power: .inf}}"),
+        ("simulate", "sources: {bad: {preset: sld, bandwidth_fwhm: .inf}}"),
+        ("simulate", "sources: {bad: {preset: sld, center_wavelength: .nan}}"),
+        ("simulate", "sources: {bad: {preset: sld-residual, target_g2: .nan}}"),
+        ("simulate", "sources: {bad: {preset: dfb, amplitude_noise: .inf}}"),
+        ("sweep", "chains: {paper-EMCCD: {dark_rate: .nan}}"),
+        ("sweep", "chains: {paper-EMCCD: {integration_time: .inf}}"),
+        ("sweep", "absorbers: {DCM: {omega_f: .inf}}"),
+        ("sweep", "absorbers: {DCM: {delta_omega_f: .nan}}"),
+        ("sweep", "absorbers: {DCM: {dipole_sq: .nan}}"),
+    ],
+)
+def test_cli_rejects_non_finite_spec_values(tmp_path, capsys, command, yaml_text):
+    cfg = tmp_path / "nan.yaml"
+    cfg.write_text(yaml_text)
+    args = [command, "--config", cfg, "--out", tmp_path / "o"]
+    if command == "simulate":
+        args += ["--source", "bad"]
+    code, err = run_cli_error(capsys, args)
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error [config-error]:")
+    assert "finite" in err[0]

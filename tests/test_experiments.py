@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import curve_fit
 
-from photonstat.errors import InsufficientDataError, InvalidArgumentError
+from photonstat.errors import (
+    InsufficientDataError,
+    InvalidArgumentError,
+    PhotonstatError,
+)
 from photonstat.experiments import (
     SweepResult,
     calibrate_dipole,
@@ -59,6 +64,90 @@ def test_fit_exponent_gate():
 def test_fit_needs_data():
     with pytest.raises(InsufficientDataError):
         fit_quadratic(make_sweep([(1e-4, 10.0, 0), (1e-4, 11.0, 1)]))
+
+
+def curve_fit_exponent(sweep):
+    """(b, b_stderr) of a x^b from scipy's curve_fit with absolute sigma.
+
+    The reference sits at the minimum too: curve_fit gets the analytic
+    Jacobian and its tightest tolerances. With finite differences and the
+    default tolerances it stops up to ~1e-3 SE short of the minimum on
+    some sweeps.
+    """
+    x, y = sweep.powers(), sweep.counts()
+    u = x / np.exp(np.mean(np.log(x)))
+    popt, pcov = curve_fit(
+        lambda uu, a_u, b: a_u * uu**b,
+        u,
+        y,
+        p0=(np.mean(y / u**2), 2.0),
+        sigma=np.sqrt(np.maximum(y, 1.0)),
+        absolute_sigma=True,
+        jac=lambda uu, a_u, b: np.stack([uu**b, a_u * uu**b * np.log(uu)], axis=1),
+        xtol=1e-15,
+        ftol=1e-15,
+        gtol=1e-15,
+        maxfev=10000,
+    )
+    return popt[1], np.sqrt(pcov[1, 1])
+
+
+def assert_exponent_matches_curve_fit(sweep):
+    check = fit_quadratic(sweep).exponent_check
+    b_ref, se_ref = curve_fit_exponent(sweep)
+    assert abs(check.b - b_ref) <= 1e-5 * se_ref
+    assert check.b_stderr == pytest.approx(se_ref, rel=1e-5)
+
+
+@pytest.mark.parametrize("source", ["sld", "dfb"])
+@pytest.mark.parametrize("n_powers, repeats", [(12, 5), (200, 50)])
+def test_exponent_fit_matches_curve_fit(source, n_powers, repeats):
+    powers = np.geomspace(30e-6, 1e-3, n_powers)
+    sweep = power_sweep(
+        source_preset(source),
+        calibrated_absorber(),
+        chain_preset("paper-EMCCD"),
+        powers,
+        repeats,
+        seed=2718,
+    )
+    assert_exponent_matches_curve_fit(sweep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_scale=st.floats(min_value=0.0, max_value=4.0),
+    b=st.floats(min_value=1.5, max_value=2.5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_exponent_fit_matches_curve_fit_property(log_scale, b, seed):
+    # Poisson counts of a power law with 10**log_scale expected counts at
+    # the 300 uW calibration power, over the nominal 12 x 5 grid.
+    expected = 10.0**log_scale * (POWERS / 300e-6) ** b
+    counts = np.random.default_rng(seed).poisson(expected[:, None], (12, 5))
+    records = [
+        (float(p), int(c), k)
+        for p, row in zip(POWERS, counts)
+        for k, c in enumerate(row)
+    ]
+    assert_exponent_matches_curve_fit(make_sweep(records))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [7.0] * 6,  # equal at every power: no power law to fit
+        [0.0] * 6,
+        [0.0, 0.0, 0.0, 0.0, 0.0, 9.0],  # counts at one power only
+        [0.0, -2.0, 0.0, -1.0, 0.0, 0.0],  # no positive count
+        [1e200, 2e200, 4e200, 8e200, 1.6e201, 3.2e201],  # normal matrix overflows
+    ],
+)
+def test_degenerate_sweep_raises_package_error(counts):
+    x = np.geomspace(1e-4, 1e-3, 6)
+    sweep = make_sweep([(float(p), c, 0) for p, c in zip(x, counts)])
+    with pytest.raises(PhotonstatError):
+        fit_quadratic(sweep)
 
 
 def test_calibration_anchor():

@@ -11,6 +11,7 @@ from photonstat.errors import EstimationError, InvalidArgumentError, SamplingErr
 from photonstat.seeding import rng_for
 from photonstat.sources import (
     G1_DECAY_THRESHOLD,
+    SPEED_OF_LIGHT,
     FieldTrace,
     SourceSpec,
     _fft_len,
@@ -336,6 +337,13 @@ def test_wavelength_bandwidth_convention():
     )
     expected = C_LIGHT * 20e-9 / 976e-9**2
     assert spec.bandwidth_hz == pytest.approx(expected, rel=1e-9)
+
+
+def test_speed_of_light_equals_scipy_constant():
+    from photonstat import presets
+
+    assert SPEED_OF_LIGHT == C_LIGHT
+    assert presets.SPEED_OF_LIGHT is SPEED_OF_LIGHT
 
 
 def test_nominal_g2_closed_forms():
