@@ -30,7 +30,7 @@ from .config import (
     resolve_chain,
     resolve_source,
 )
-from .correlation import g2_tau, gn_zero
+from .correlation import _write_csv, g2_tau, gn_zero
 from .errors import (
     AcceptanceError,
     ConfigError,
@@ -402,18 +402,24 @@ def _format_count(value) -> str:
 
 
 def _write_sweep_csv(path: Path, sweep: SweepResult, metadata: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {metadata}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["P_exc_W", "counts", "repeat"])
-        for p_exc, counts, rep in sweep.records:
-            writer.writerow([repr(float(p_exc)), _format_count(counts), rep])
+    rows = ([repr(float(p)), _format_count(c), k] for p, c, k in sweep.records)
+    _write_csv(path, metadata, ["P_exc_W", "counts", "repeat"], rows)
 
 
-def _read_sweep_csv(path: Path) -> SweepResult:
+def _read_sweep_csv(path: Path, config_hash: str) -> SweepResult:
+    """Read a reproduce-fig2 sweep CSV; refuse one of another config_hash."""
     records = []
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        rows = [r for r in csv.reader(fh) if r]
+    if rows and rows[0][0].startswith("#"):
+        for item in ",".join(rows[0]).split():
+            key, _, value = item.partition("=")
+            if key == "config_hash" and value != config_hash:
+                raise FormatError(
+                    f"{path}: written under config_hash={value}, not this "
+                    f"run's {config_hash} (another config, seed or --noise)"
+                )
+    rows = [r for r in rows if not r[0].startswith("#")]
     if not rows or rows[0] != ["P_exc_W", "counts", "repeat"]:
         raise FormatError(f"{path}: not a sweep CSV (bad header)")
     for row in rows[1:]:
@@ -509,21 +515,13 @@ def _write_report(
 
 
 def _write_fits_csv(path: Path, rows: list, metadata: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {metadata}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["label", "a", "a_stderr", "b", "b_stderr"])
-        for label, fit in rows:
-            exp_check = fit.exponent_check
-            writer.writerow(
-                [
-                    label,
-                    repr(float(fit.a)),
-                    repr(float(fit.a_stderr)),
-                    repr(float(exp_check.b)) if exp_check else "",
-                    repr(float(exp_check.b_stderr)) if exp_check else "",
-                ]
-            )
+    keys = ["a", "a_stderr", "b", "b_stderr"]
+    payloads = [(label, _fit_payload(fit)) for label, fit in rows]
+    table = [
+        [label] + ["" if p[k] is None else repr(float(p[k])) for k in keys]
+        for label, p in payloads
+    ]
+    _write_csv(path, metadata, ["label", *keys], table)
 
 
 def cmd_reproduce_fig2(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -598,8 +596,9 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     if not sweep_files:
         raise InsufficientDataError(f"no reproduce-fig2 sweep CSVs in {out}")
     panels: dict = {}
+    run_hash = cfg.hash
     for path in sweep_files:
-        sweep = _read_sweep_csv(path)
+        sweep = _read_sweep_csv(path, run_hash)
         panels.setdefault(sweep.fluorophore_label, {})[sweep.source_label] = sweep
 
     def _config_order(names, configured):

@@ -199,19 +199,18 @@ class RunConfig:
         return config_hash(effective)
 
 
-def _build_params(section: dict, name: str, presets: dict, kind: str) -> dict:
-    """Resolve a named entry: config section merged over the preset base."""
-    entry = section.get(name)
-    if entry is None:
-        if name in presets:
-            return dict(presets[name])
+def _resolve(data: dict, section: str, name: str, presets: dict, build, kind: str):
+    """Build a named entry: its config section merged over the preset base."""
+    configured = data.get(section, {})
+    entry = configured.get(name)
+    if entry is None and name not in presets:
         raise ConfigError(
             f"unknown {kind} {name!r}; known presets: {sorted(presets)}, "
-            f"config-defined: {sorted(section)}"
+            f"config-defined: {sorted(configured)}"
         )
-    if not isinstance(entry, dict):
+    if entry is not None and not isinstance(entry, dict):
         raise ConfigError(f"{kind} entry {name!r} must be a mapping")
-    entry = dict(entry)
+    entry = dict(entry or {})
     # A "preset" key bases a new name on an existing preset; otherwise a
     # same-name preset (if any) is the base and the entry overrides it.
     base_name = entry.pop("preset", name)
@@ -220,34 +219,22 @@ def _build_params(section: dict, name: str, presets: dict, kind: str) -> dict:
             f"{kind} entry {name!r} refers to unknown preset {base_name!r}; "
             f"known presets: {sorted(presets)}"
         )
-    params = dict(presets.get(base_name, {}))
-    params.update(entry)
-    return params
+    params = {**presets.get(base_name, {}), **entry}
+    if build is not DetectionChain:  # the specs carry their name as label
+        params.setdefault("label", name)
+    try:
+        return build(**params)
+    except TypeError as exc:
+        raise ConfigError(f"bad {kind} definition {name!r}: {exc}") from exc
 
 
 def resolve_source(data: dict, name: str) -> SourceSpec:
-    params = _build_params(data.get("sources", {}), name, SOURCE_PRESETS, "source")
-    params.setdefault("label", name)
-    try:
-        return SourceSpec(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad source definition {name!r}: {exc}") from exc
+    return _resolve(data, "sources", name, SOURCE_PRESETS, SourceSpec, "source")
 
 
 def resolve_absorber(data: dict, name: str) -> AbsorberSpec:
-    params = _build_params(
-        data.get("absorbers", {}), name, ABSORBER_PRESETS, "absorber"
-    )
-    params.setdefault("label", name)
-    try:
-        return AbsorberSpec(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad absorber definition {name!r}: {exc}") from exc
+    return _resolve(data, "absorbers", name, ABSORBER_PRESETS, AbsorberSpec, "absorber")
 
 
 def resolve_chain(data: dict, name: str) -> DetectionChain:
-    params = _build_params(data.get("chains", {}), name, CHAIN_PRESETS, "chain")
-    try:
-        return DetectionChain(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad chain definition {name!r}: {exc}") from exc
+    return _resolve(data, "chains", name, CHAIN_PRESETS, DetectionChain, "chain")

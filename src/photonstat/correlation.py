@@ -9,6 +9,10 @@ Normalization always uses the global trace mean; per-block normalization
 biases g2 low in the presence of slow drifts. Standard errors come from a
 moving-block bootstrap whose block length is at least 10 coherence times,
 so intra-block correlations are preserved.
+
+The intensity, its mean and moments, and the bootstrap block length are
+cached on the FieldTrace, so estimators called one after another on one
+trace compute each of them once.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
-    EstimationError,
     InsufficientDataError,
     InvalidArgumentError,
 )
@@ -31,7 +34,6 @@ from .sources import (
     _block_spectra,
     _fft_len,
     _lag_sums,
-    coherence_time,
 )
 
 __all__ = [
@@ -49,6 +51,21 @@ _BOOTSTRAP_STREAM = 0xB00F
 # stays below this many times the points of its batched block transforms
 # (the measured cost ratio of the two per point, 2-vCPU x86, numpy 2.4).
 _FFT_COST = 24
+
+
+def _write_csv(path, metadata: str | None, header: list, rows) -> None:
+    """A "# metadata" line (when given), the header, then the rows."""
+    with open(path, "w", newline="") as fh:
+        if metadata:
+            fh.write(f"# {metadata}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _repr_rows(columns):
+    """Rows of repr(float) strings from equal-length numeric columns."""
+    return ([repr(float(v)) for v in row] for row in zip(*columns))
 
 
 @dataclass
@@ -87,13 +104,8 @@ class CorrelationEstimate:
         return float(self.values[0])
 
     def to_csv(self, path, metadata: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if metadata:
-                fh.write(f"# {metadata}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["tau_s", "g_value", "std_err"])
-            for tau, val, err in zip(self.delays, self.values, self.std_errors):
-                writer.writerow([repr(float(tau)), repr(float(val)), repr(float(err))])
+        columns = (self.delays, self.values, self.std_errors)
+        _write_csv(path, metadata, ["tau_s", "g_value", "std_err"], _repr_rows(columns))
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,20 +120,6 @@ class CorrelationEstimate:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def _bootstrap_block_len(trace: FieldTrace) -> int:
-    """Block length covering >= 10 coherence times (or a 1/200 trace split)."""
-    n = trace.n_samples
-    try:
-        prefix = trace.samples[: min(n, 1 << 20)]
-        tau_c = coherence_time(FieldTrace(prefix, trace.dt, trace.carrier_freq, 0))
-        ten_tau = int(np.ceil(10.0 * tau_c / trace.dt))
-    except EstimationError:
-        # No decay (e.g. coherent light): intensity is uncorrelated or
-        # constant, any split works.
-        ten_tau = 1
-    return max(ten_tau, n // 200, 1)
 
 
 def _block_means(x: np.ndarray, block_len: int, nb: int) -> np.ndarray:
@@ -154,10 +152,9 @@ def _block_bootstrap_se(
 
 
 def _intensity(trace: FieldTrace) -> np.ndarray:
-    intensity = trace.intensity()
-    if np.mean(intensity) <= 0:
+    if trace.mean_power() <= 0:
         raise DegenerateInputError("trace has zero mean power")
-    return intensity
+    return trace.intensity()
 
 
 def g2_tau(
@@ -194,13 +191,12 @@ def g2_tau(
             "delays must be strictly increasing after rounding to the sample grid"
         )
     if block_len is None:
-        block_len = _bootstrap_block_len(trace)
+        block_len = trace.bootstrap_block_len
     # Every delay shares the blocks that fit below the largest lag.
     abs_lags, inverse = np.unique(np.abs(lags), return_inverse=True)
     nb = (n - int(abs_lags[-1])) // block_len
     totals, num_blocks = _intensity_lag_sums(intensity, abs_lags, block_len, nb)
-    mean_i = float(np.mean(intensity))
-    values = totals / (n - abs_lags) / mean_i**2
+    values = totals / (n - abs_lags) / trace.mean_power() ** 2
     rng = rng_for(trace.seed_id, _BOOTSTRAP_STREAM)
     errors = _block_bootstrap_se(
         num_blocks, _block_means(intensity, block_len, nb), 2, n_bootstrap, rng
@@ -250,10 +246,10 @@ def gn_zero(
         raise InvalidArgumentError("order must satisfy 2 <= n <= 6")
     intensity = _intensity(trace)
     if block_len is None:
-        block_len = _bootstrap_block_len(trace)
+        block_len = trace.bootstrap_block_len
     rng = rng_for(trace.seed_id, _BOOTSTRAP_STREAM, n)
-    powered = intensity**n
-    value = float(np.mean(powered)) / float(np.mean(intensity)) ** n
+    powered = trace.intensity_power(n)
+    value = trace.moment(n, normalized=True)
     n_blocks = intensity.size // block_len
     err = _block_bootstrap_se(
         _block_means(powered, block_len, n_blocks)[:, None],

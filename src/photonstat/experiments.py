@@ -175,8 +175,7 @@ def power_sweep(
         duration = trace_duration if trace_duration is not None else 5000.0 * tau_c
         dt = trace_dt if trace_dt is not None else tau_c / 8.0
         trace = make_trace(source, duration, dt, derive_seed(seed, 0))
-        intensity = trace.intensity()
-        g2_value = float(np.mean(intensity**2)) / float(np.mean(intensity)) ** 2
+        g2_value = trace.moment(2, normalized=True)
     else:
         raise InvalidArgumentError(
             f"statistics_mode must be 'nominal' or 'trace', got {statistics_mode!r}"
@@ -200,6 +199,11 @@ def power_sweep(
     )
 
 
+# fit_quadratic refuses counts from here up, whose squares (or those of fits
+# a three-decade power span, 1e6 in x^2, above them) overflow float64.
+_MAX_FIT_COUNT = np.sqrt(np.finfo(float).max) * 1e-6
+
+
 def fit_quadratic(sweep: SweepResult) -> FitResult:
     """Weighted least-squares fit of f(x) = a x^2 to a sweep.
 
@@ -209,6 +213,11 @@ def fit_quadratic(sweep: SweepResult) -> FitResult:
     """
     x = sweep.powers()
     y = sweep.counts()
+    if not np.all(np.abs(y) < _MAX_FIT_COUNT):
+        raise EstimationError(
+            f"counts up to {np.max(np.abs(y)):g} are too large to fit: their "
+            "squares overflow float64"
+        )
     distinct, group = np.unique(x, return_inverse=True)
     if distinct.size < 3:
         raise InsufficientDataError("need at least 3 distinct powers to fit")

@@ -20,12 +20,11 @@ g2(tau) curve.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationEstimate
+from .correlation import CorrelationEstimate, _repr_rows, _write_csv
 from .errors import (
     DegenerateInputError,
     InvalidArgumentError,
@@ -101,13 +100,8 @@ class InterferogramScan:
             raise InvalidArgumentError("fringe_period must be positive")
 
     def to_csv(self, path, metadata: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if metadata:
-                fh.write(f"# {metadata}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["tau_s", "raw", "filtered"])
-            for tau, raw, filt in zip(self.delays, self.raw_signal, self.filtered_signal):
-                writer.writerow([repr(float(tau)), repr(float(raw)), repr(float(filt))])
+        columns = (self.delays, self.raw_signal, self.filtered_signal)
+        _write_csv(path, metadata, ["tau_s", "raw", "filtered"], _repr_rows(columns))
 
 
 def photon_counter(
@@ -327,13 +321,8 @@ def fluorescence_counts(
         raise InvalidArgumentError("excitation power must be >= 0")
     p_exc = chain.power_correction_eta * excitation_power_measured
     if isinstance(source_g2_or_trace, FieldTrace):
-        trace = source_g2_or_trace
-        intensity = trace.intensity()
-        mean_i = float(np.mean(intensity))
-        if mean_i <= 0:
-            raise DegenerateInputError("trace has zero mean power")
-        g2_zero = float(np.mean(intensity**2)) / mean_i**2
-        omega = trace.carrier_freq
+        g2_zero = source_g2_or_trace.moment(2, normalized=True)
+        omega = source_g2_or_trace.carrier_freq
     else:
         g2_zero = float(source_g2_or_trace)
         omega = absorber.omega_f / 2.0

@@ -109,37 +109,23 @@ CHAIN_PRESETS = {
 }
 
 
+def _preset(presets: dict, build, kind: str, name: str, overrides: dict):
+    """build(**params) from a named preset, with field overrides."""
+    if name not in presets:
+        raise ConfigError(f"unknown {kind} preset {name!r}; known: {sorted(presets)}")
+    return build(**{**presets[name], **overrides})
+
+
 def source_preset(name: str, **overrides) -> SourceSpec:
     """Build a SourceSpec from a named preset, with field overrides."""
-    try:
-        params = dict(SOURCE_PRESETS[name])
-    except KeyError:
-        raise ConfigError(
-            f"unknown source preset {name!r}; known: {sorted(SOURCE_PRESETS)}"
-        ) from None
-    params.update(overrides)
-    return SourceSpec(**params)
+    return _preset(SOURCE_PRESETS, SourceSpec, "source", name, overrides)
 
 
 def absorber_preset(name: str, **overrides) -> AbsorberSpec:
     """Build an AbsorberSpec from a named preset, with field overrides."""
-    try:
-        params = dict(ABSORBER_PRESETS[name])
-    except KeyError:
-        raise ConfigError(
-            f"unknown absorber preset {name!r}; known: {sorted(ABSORBER_PRESETS)}"
-        ) from None
-    params.update(overrides)
-    return AbsorberSpec(**params)
+    return _preset(ABSORBER_PRESETS, AbsorberSpec, "absorber", name, overrides)
 
 
 def chain_preset(name: str, **overrides) -> DetectionChain:
     """Build a DetectionChain from a named preset, with field overrides."""
-    try:
-        params = dict(CHAIN_PRESETS[name])
-    except KeyError:
-        raise ConfigError(
-            f"unknown chain preset {name!r}; known: {sorted(CHAIN_PRESETS)}"
-        ) from None
-    params.update(overrides)
-    return DetectionChain(**params)
+    return _preset(CHAIN_PRESETS, DetectionChain, "chain", name, overrides)

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,28 +62,44 @@ _LAG_BLOCK = 8192
 _CHUNK_POINTS = 1 << 20
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FieldTrace:
     """One sampled realization of a complex optical envelope.
 
     samples are in sqrt(W), dt in seconds, carrier_freq is the optical
     angular frequency in rad/s. seed_id records the seed that produced the
     realization so downstream estimators can derive reproducible substreams.
+
+    A trace is an immutable value. samples is a read-only complex128 array:
+    a copy of the caller's array, or with copy=False the array itself (the
+    generators and read_trace hand over arrays nobody else holds). NaN and
+    inf samples are refused. What is derived from the samples is computed
+    on first use and cached: intensity(), mean_power(), moment(n), the
+    coherence_time (or its EstimationError) and bootstrap_block_len.
     """
 
     samples: np.ndarray
     dt: float
     carrier_freq: float
     seed_id: int
+    copy: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
+    def __post_init__(self, copy: bool) -> None:
+        convert = np.array if copy else np.asarray
+        samples = convert(self.samples, dtype=np.complex128)
         if not 0 < self.dt < math.inf:
             raise InvalidArgumentError("dt must be positive and finite")
         if not math.isfinite(self.carrier_freq):
             raise InvalidArgumentError("carrier_freq must be finite")
-        if self.samples.size < 2:
+        if samples.size < 2:
             raise InvalidArgumentError("a trace needs at least 2 samples")
+        # One reduction instead of an n-sized boolean temporary; a sum of
+        # finite samples that overflows is refused too.
+        if not np.isfinite(samples.sum()):
+            raise InvalidArgumentError("samples must be finite")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "_moments", {})
 
     @property
     def n_samples(self) -> int:
@@ -92,12 +109,60 @@ class FieldTrace:
     def duration(self) -> float:
         return self.samples.size * self.dt
 
+    @cached_property
+    def _intensity(self) -> np.ndarray:
+        intensity = np.abs(self.samples) ** 2
+        intensity.flags.writeable = False
+        return intensity
+
     def intensity(self) -> np.ndarray:
-        """Instantaneous power |E|^2 in W."""
-        return np.abs(self.samples) ** 2
+        """Instantaneous power |E|^2 in W, as a cached read-only array."""
+        return self._intensity
+
+    def intensity_power(self, n: int) -> np.ndarray:
+        """I^n (a new array for n > 1); its mean is cached as moment(n)."""
+        powered = self._intensity**n if n > 1 else self._intensity
+        self._moments.setdefault(n, float(np.mean(powered)))
+        return powered
+
+    def moment(self, n: int, normalized: bool = False) -> float:
+        """<I^n> in W^n, or <I^n>/<I>^n when normalized; cached per n.
+
+        Raw moments are the float of np.mean of I^n over the whole trace, so
+        every caller gets the same bits. Normalizing a trace with zero mean
+        power raises DegenerateInputError.
+        """
+        if n not in self._moments:
+            self.intensity_power(n)
+        if not normalized:
+            return self._moments[n]
+        if self.moment(1) <= 0:
+            raise DegenerateInputError("trace has zero mean power")
+        return self._moments[n] / self._moments[1] ** n
 
     def mean_power(self) -> float:
-        return float(np.mean(self.intensity()))
+        """<I> in W, moment(1)."""
+        return self.moment(1)
+
+    @cached_property
+    def _tau_c(self) -> float | None:
+        return _coherence_time(self.samples, self.dt)
+
+    @cached_property
+    def bootstrap_block_len(self) -> int:
+        """Estimator bootstrap block: >= 10 coherence times and >= n // 200.
+
+        The coherence time is taken from the first 2^20 samples, so a long
+        trace costs no more than a 2^20-sample one. Without decay (coherent
+        light) the intensity is uncorrelated or constant: any split works.
+        """
+        prefix = self.samples[: 1 << 20]
+        if prefix.size == self.n_samples:
+            tau_c = self._tau_c
+        else:
+            tau_c = _coherence_time(prefix, self.dt)
+        ten_tau = 1 if tau_c is None else int(np.ceil(10.0 * tau_c / self.dt))
+        return max(ten_tau, self.n_samples // 200, 1)
 
 
 @dataclass
@@ -254,7 +319,7 @@ def make_thermal_trace(
     shaped = z * np.sqrt(_spectral_density(freqs, spec.spectral_shape, spec.bandwidth_hz))
     envelope = np.fft.ifft(shaped)
     samples = _renormalize(envelope, spec.mean_power)
-    return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed))
+    return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed), copy=False)
 
 
 def make_coherent_trace(
@@ -285,7 +350,7 @@ def make_coherent_trace(
     else:
         amp = 1.0 + eps * rng.standard_normal(n)
         samples = _renormalize(amp.astype(np.complex128) * phase, spec.mean_power)
-    return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed))
+    return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed), copy=False)
 
 
 def make_pseudothermal_trace(
@@ -332,7 +397,7 @@ def make_pseudothermal_trace(
     inblock_phasors = np.exp(2j * np.pi * np.outer(nu, np.arange(block) * dt))
     envelope = (block_phasors @ inblock_phasors).ravel()[:n]
     samples = _renormalize(envelope, spec.mean_power)
-    return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed))
+    return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed), copy=False)
 
 
 def make_tunable_trace(
@@ -374,24 +439,10 @@ def make_tunable_trace(
         raise InvalidArgumentError(
             f"make_tunable_trace needs tunable statistics, got {spec.statistics!r}"
         )
-    thermal_spec = SourceSpec(
-        statistics="thermal-gaussian",
-        center_wavelength=spec.center_wavelength,
-        bandwidth_fwhm=spec.bandwidth_fwhm,
-        spectral_shape=spec.spectral_shape,
-        mean_power=spec.mean_power,
-        bandwidth_convention=spec.bandwidth_convention,
-    )
     if target_g2 == 1.0:
-        coherent_spec = SourceSpec(
-            statistics="coherent",
-            center_wavelength=spec.center_wavelength,
-            bandwidth_fwhm=spec.bandwidth_fwhm,
-            spectral_shape=spec.spectral_shape,
-            mean_power=spec.mean_power,
-            bandwidth_convention=spec.bandwidth_convention,
-        )
+        coherent_spec = replace(spec, statistics="coherent", amplitude_noise=0.0)
         return make_coherent_trace(coherent_spec, duration, dt, seed)
+    thermal_spec = replace(spec, statistics="thermal-gaussian")
     base = make_thermal_trace(thermal_spec, duration, dt, seed)
     if target_g2 == 2.0:
         return base
@@ -411,7 +462,7 @@ def make_tunable_trace(
         on_mask = np.repeat(rng.random(n_seg) < q, seg)[:n]
         envelope = np.where(on_mask, base.samples / np.sqrt(q), 0.0)
     samples = _renormalize(envelope, spec.mean_power)
-    return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed))
+    return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed), copy=False)
 
 
 def make_trace(spec: SourceSpec, duration: float, dt: float, seed: int) -> FieldTrace:
@@ -505,11 +556,23 @@ def _block_spectra(x: np.ndarray, block: int, nb: int, max_lag: int, m: int):
         yield spec
 
 
-def _g1_magnitude(trace: FieldTrace, max_lag: int) -> np.ndarray:
+def _g1_magnitude(samples: np.ndarray, max_lag: int) -> np.ndarray:
     """|g1(k dt)| for k = 0..max_lag from the field's lag sums."""
-    counts = trace.n_samples - np.arange(max_lag + 1)
-    acorr = _lag_sums(trace.samples, max_lag) / counts
+    counts = samples.size - np.arange(max_lag + 1)
+    acorr = _lag_sums(samples, max_lag) / counts
     return np.abs(acorr / acorr[0])
+
+
+def _coherence_time(samples: np.ndarray, dt: float) -> float | None:
+    """coherence_time of these samples, or None if |g1| never decays."""
+    half = samples.size // 2
+    for max_lag in sorted({min(_LAG_BLOCK // 4, half), half}):
+        g1 = _g1_magnitude(samples, max_lag)
+        below = np.flatnonzero(g1 < G1_DECAY_THRESHOLD)
+        if below.size:
+            k_star = int(below[0])
+            return float(2.0 * np.trapezoid(g1[: k_star + 1] ** 2, dx=dt))
+    return None
 
 
 def coherence_time(trace: FieldTrace) -> float:
@@ -527,19 +590,15 @@ def coherence_time(trace: FieldTrace) -> float:
 
     The decay is first searched over a short lag range, whose lag sums cost
     block-wise FFTs only; the full half trace is searched only if |g1|
-    stays above the threshold there.
+    stays above the threshold there. The outcome is cached on the trace.
     """
-    half = trace.n_samples // 2
-    for max_lag in sorted({min(_LAG_BLOCK // 4, half), half}):
-        g1 = _g1_magnitude(trace, max_lag)
-        below = np.flatnonzero(g1 < G1_DECAY_THRESHOLD)
-        if below.size:
-            k_star = int(below[0])
-            return float(2.0 * np.trapezoid(g1[: k_star + 1] ** 2, dx=trace.dt))
-    raise EstimationError(
-        "field correlation does not decay below "
-        f"{G1_DECAY_THRESHOLD} within half the trace"
-    )
+    tau_c = trace._tau_c
+    if tau_c is None:
+        raise EstimationError(
+            "field correlation does not decay below "
+            f"{G1_DECAY_THRESHOLD} within half the trace"
+        )
+    return tau_c
 
 
 def estimate_bandwidth_hz(trace: FieldTrace, n_segments: int = 64) -> float:

@@ -133,8 +133,7 @@ def tpa_rate_timedomain(
     """
     _check_broadband(trace, absorber, force)
     scale = absorber.dipole_sq * lineshape(2.0 * trace.carrier_freq, absorber)
-    intensity = trace.intensity()
-    return float(scale * np.mean(intensity**2))
+    return float(scale * trace.moment(2))
 
 
 def mpa_rate_timedomain(trace: FieldTrace, n: int, scale_const: float) -> float:
@@ -143,8 +142,7 @@ def mpa_rate_timedomain(trace: FieldTrace, n: int, scale_const: float) -> float:
         raise InvalidArgumentError("order must satisfy 2 <= n <= 6")
     if scale_const <= 0:
         raise InvalidArgumentError("scale_const must be positive")
-    intensity = trace.intensity()
-    return float(scale_const * np.mean(intensity**n))
+    return float(scale_const * trace.moment(n))
 
 
 def rate_ratio(

@@ -13,8 +13,9 @@ Layout (little-endian):
 
 The interleaved (re, im) float64 pairs are exactly the "<c16" dtype.
 Files with a wrong magic, an unsupported version, a payload of any length
-other than 16*N bytes, or header values FieldTrace refuses (dt not
-positive and finite, a non-finite carrier, N < 2) raise FormatError.
+other than 16*N bytes, or values FieldTrace refuses (dt not positive and
+finite, a non-finite carrier, N < 2, NaN or inf samples) raise
+FormatError.
 """
 
 from __future__ import annotations
@@ -71,6 +72,6 @@ def read_trace(path) -> FieldTrace:
     if samples.size != count:
         raise FormatError(f"trace file ended after {samples.size} of {count} samples")
     try:
-        return FieldTrace(samples, dt, carrier_freq, seed_id)
+        return FieldTrace(samples, dt, carrier_freq, seed_id, copy=False)
     except InvalidArgumentError as exc:
-        raise FormatError(f"bad trace header: {exc}") from exc
+        raise FormatError(f"bad trace file {path}: {exc}") from exc

@@ -219,6 +219,20 @@ def test_cli_report_ignores_sweep_command_csvs(tmp_path):
     ]
 
 
+def test_cli_report_refuses_csvs_of_another_config(tmp_path, capsys):
+    out = tmp_path / "fig2"
+    assert run_cli(["reproduce-fig2", "--out", out]) == 0
+    written = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    # --noise off changes the config hash the sweep CSVs were written under.
+    code, err = run_cli_error(capsys, ["report", "--out", out, "--noise", "off"])
+    assert code == 3
+    assert len(err) == 1
+    assert err[0].startswith("error [data-error]:")
+    assert "config_hash" in err[0]
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == written
+    assert run_cli(["report", "--out", out]) == 0
+
+
 @pytest.mark.parametrize(
     "row",
     [

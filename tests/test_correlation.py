@@ -10,16 +10,20 @@ from photonstat import correlation
 from photonstat.correlation import g2_from_counts, g2_tau, gn_zero
 from photonstat.errors import (
     DegenerateInputError,
+    EstimationError,
     InsufficientDataError,
     InvalidArgumentError,
 )
 from photonstat.seeding import rng_for
-from photonstat.presets import source_preset
+from photonstat.presets import absorber_preset, source_preset
 from photonstat.sources import (
+    FieldTrace,
     SourceSpec,
+    coherence_time,
     make_trace,
     nominal_coherence_time,
 )
+from photonstat.tpa import mpa_rate_timedomain, tpa_rate_timedomain
 
 BW = 5.0e12
 TAU_C = nominal_coherence_time("gaussian", BW)
@@ -204,10 +208,10 @@ CLASS_SPECS = {
 }
 
 
-def class_trace(statistics, n_tauc=6_000, seed=21):
+def class_trace(statistics, n_tauc=6_000, seed=21, per_tauc=8):
     # 48 000 samples: enough blocks for the block-wise lag sums.
     return make_trace(
-        CLASS_SPECS[statistics], n_tauc * TAU_C_976, TAU_C_976 / 8, seed
+        CLASS_SPECS[statistics], n_tauc * TAU_C_976, TAU_C_976 / per_tauc, seed
     )
 
 
@@ -320,3 +324,127 @@ def test_counts_match_direct_pair_counts(k_max):
     mean_per_bin = times.size / n_bins
     expected = pairs / (n_bins - np.arange(k_max + 1)) / mean_per_bin**2
     assert np.allclose(est.values, np.maximum(expected, 0.0), rtol=0, atol=1e-9)
+
+
+# The estimators before FieldTrace cached its statistics: every call
+# rebuilt the intensity and re-measured the block length on a fresh trace.
+def reference_block_len(trace):
+    n = trace.n_samples
+    prefix = FieldTrace(trace.samples[: min(n, 1 << 20)], trace.dt, trace.carrier_freq, 0)
+    try:
+        ten_tau = int(np.ceil(10.0 * coherence_time(prefix) / trace.dt))
+    except EstimationError:
+        ten_tau = 1
+    return max(ten_tau, n // 200, 1)
+
+
+def reference_g2_tau_uncached(trace, delays):
+    intensity = np.abs(trace.samples) ** 2
+    n = intensity.size
+    delays = np.atleast_1d(np.asarray(delays, dtype=float))
+    lags = np.round(np.abs(delays) / trace.dt).astype(int) * np.sign(delays).astype(int)
+    block_len = reference_block_len(trace)
+    abs_lags, inverse = np.unique(np.abs(lags), return_inverse=True)
+    nb = (n - int(abs_lags[-1])) // block_len
+    totals, num_blocks = correlation._intensity_lag_sums(intensity, abs_lags, block_len, nb)
+    mean_i = float(np.mean(intensity))
+    values = totals / (n - abs_lags) / mean_i**2
+    rng = rng_for(trace.seed_id, correlation._BOOTSTRAP_STREAM)
+    errors = correlation._block_bootstrap_se(
+        num_blocks, correlation._block_means(intensity, block_len, nb), 2, 200, rng
+    )
+    return values[inverse], errors[inverse], n // block_len
+
+
+def reference_gn_zero_uncached(trace, order):
+    intensity = np.abs(trace.samples) ** 2
+    block_len = reference_block_len(trace)
+    rng = rng_for(trace.seed_id, correlation._BOOTSTRAP_STREAM, order)
+    powered = intensity**order
+    value = float(np.mean(powered)) / float(np.mean(intensity)) ** order
+    n_blocks = intensity.size // block_len
+    err = correlation._block_bootstrap_se(
+        correlation._block_means(powered, block_len, n_blocks)[:, None],
+        correlation._block_means(intensity, block_len, n_blocks),
+        order,
+        200,
+        rng,
+    )[0]
+    return value, err, n_blocks
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n_tauc, per_tauc", [(750, 64), (1_717, 640)])
+@pytest.mark.parametrize("statistics", sorted(CLASS_SPECS))
+def test_cached_statistics_match_uncached_reference(statistics, n_tauc, per_tauc):
+    # 48 000 samples take the block length from the trace's own cached
+    # coherence time; 1 098 880 (> 2^20) from its 2^20-sample prefix. The
+    # traces span under 2000 coherence times, so 10 tau_c outweighs n / 200.
+    trace = class_trace(statistics, n_tauc, per_tauc=per_tauc)
+    assert (trace.n_samples > 1 << 20) == (per_tauc == 640)
+    if statistics != "coherent":
+        coherence_time(trace)
+        assert trace.bootstrap_block_len > trace.n_samples // 200
+    assert trace.bootstrap_block_len == reference_block_len(trace)
+    delays = np.linspace(0.0, 15.0, 61) * TAU_C_976
+    for grid in (delays, delays[:1]):
+        est = g2_tau(trace, grid)
+        values, errors, blocks = reference_g2_tau_uncached(trace, grid)
+        assert bits(est.values) == bits(values)
+        assert bits(est.std_errors) == bits(errors)
+        assert est.effective_samples == blocks
+    for order in (2, 3, 4):
+        est = gn_zero(trace, order)
+        value, err, blocks = reference_gn_zero_uncached(trace, order)
+        assert bits(est.values) == bits([value])
+        assert bits(est.std_errors) == bits([err])
+        assert est.effective_samples == blocks
+
+
+ABSORBER = absorber_preset("DCM")
+CACHE_TRACES = {s: class_trace(s, n_tauc=2_500, seed=31) for s in sorted(CLASS_SPECS)}
+CACHE_CALLS = {
+    "coherence_time": coherence_time,
+    "g2_tau": lambda t: g2_tau(t, np.linspace(0.0, 15.0, 61) * TAU_C_976),
+    "gn2": lambda t: gn_zero(t, 2),
+    "gn3": lambda t: gn_zero(t, 3),
+    "gn4": lambda t: gn_zero(t, 4),
+    "mpa2": lambda t: mpa_rate_timedomain(t, 2, 1.5),
+    "mpa3": lambda t: mpa_rate_timedomain(t, 3, 1.5),
+    "mpa4": lambda t: mpa_rate_timedomain(t, 4, 1.5),
+    "tpa": lambda t: tpa_rate_timedomain(t, ABSORBER, force=True),
+}
+
+
+def call_bits(name, trace):
+    try:
+        result = CACHE_CALLS[name](trace)
+    except EstimationError as exc:
+        return repr(exc)
+    if isinstance(result, float):
+        return bits(result)
+    return bits(result.values), bits(result.std_errors), result.effective_samples
+
+
+def fresh_copy(trace):
+    return FieldTrace(trace.samples, trace.dt, trace.carrier_freq, trace.seed_id)
+
+
+FRESH_BITS = {
+    (s, name): call_bits(name, fresh_copy(trace))
+    for s, trace in CACHE_TRACES.items()
+    for name in CACHE_CALLS
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(CLASS_SPECS)), st.permutations(sorted(CACHE_CALLS)))
+def test_cached_calls_in_any_order_match_fresh_traces(statistics, order):
+    # One trace serves every call in a random order, each call twice; each
+    # result has the bits of the same call on a fresh trace.
+    trace = fresh_copy(CACHE_TRACES[statistics])
+    for name in order + order[::-1]:
+        assert call_bits(name, trace) == FRESH_BITS[statistics, name]

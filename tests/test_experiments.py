@@ -1,5 +1,7 @@
 """Power sweeps, quadratic fits, enhancement ratios, and the full report."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,8 +148,11 @@ def test_exponent_fit_matches_curve_fit_property(log_scale, b, seed):
 def test_degenerate_sweep_raises_package_error(counts):
     x = np.geomspace(1e-4, 1e-3, 6)
     sweep = make_sweep([(float(p), c, 0) for p, c in zip(x, counts)])
-    with pytest.raises(PhotonstatError):
-        fit_quadratic(sweep)
+    # Refused before any arithmetic can overflow: no RuntimeWarning either.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PhotonstatError):
+            fit_quadratic(sweep)
 
 
 def test_calibration_anchor():

@@ -7,7 +7,12 @@ import pytest
 from scipy.constants import c as C_LIGHT
 
 from photonstat.correlation import gn_zero
-from photonstat.errors import EstimationError, InvalidArgumentError, SamplingError
+from photonstat.errors import (
+    DegenerateInputError,
+    EstimationError,
+    InvalidArgumentError,
+    SamplingError,
+)
 from photonstat.seeding import rng_for
 from photonstat.sources import (
     G1_DECAY_THRESHOLD,
@@ -426,3 +431,72 @@ def test_make_trace_dispatch_unknown():
     object.__setattr__(spec, "statistics", "squeezed")
     with pytest.raises(InvalidArgumentError):
         make_trace(spec, 1e-9, 1e-14, 1)
+
+
+def test_trace_samples_are_read_only():
+    trace = quick_trace(thermal_spec(), n_tauc=200)
+    assert trace.samples.flags.writeable is False
+    assert trace.intensity().flags.writeable is False
+    with pytest.raises(ValueError):
+        trace.samples[0] = 0.0
+    with pytest.raises(AttributeError):
+        trace.dt = 1.0
+
+
+def test_trace_copies_the_callers_array():
+    # Writing to the array a trace was built from changes no result.
+    field = quick_trace(thermal_spec(), n_tauc=2_000).samples.copy()
+    pristine = FieldTrace(field.copy(), 1e-14, 1e15, 5)
+    trace = FieldTrace(field, 1e-14, 1e15, 5)
+    assert not np.shares_memory(trace.samples, field)
+    field *= 3.0
+    field[::7] = 0.0
+    assert np.array_equal(gn_zero(trace, 2).values, gn_zero(pristine, 2).values)
+    assert trace.moment(3) == pristine.moment(3)
+    assert coherence_time(trace) == coherence_time(pristine)
+    # copy=False adopts the array itself: generators and read_trace hand
+    # over arrays nobody else holds.
+    adopted = FieldTrace(field, 1e-14, 1e15, 5, copy=False)
+    assert np.shares_memory(adopted.samples, field)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_trace_refuses_non_finite_samples(bad):
+    field = np.ones(1_000, dtype=complex)
+    field[100] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        FieldTrace(field, 1e-14, 1e15, 0)
+
+
+def test_trace_moments():
+    trace = quick_trace(thermal_spec(), n_tauc=2_000)
+    intensity = np.abs(trace.samples) ** 2
+    mean = float(np.mean(intensity))
+    assert trace.mean_power() == trace.moment(1) == mean
+    for n in (2, 3, 4):
+        raw = float(np.mean(intensity**n))
+        assert trace.moment(n) == raw
+        assert trace.moment(n, normalized=True) == raw / mean**n
+    assert trace.intensity() is trace.intensity()
+    dark = FieldTrace(np.zeros(8), 1e-14, 1e15, 0)
+    assert dark.moment(2) == 0.0
+    with pytest.raises(DegenerateInputError):
+        dark.moment(2, normalized=True)
+
+
+def test_coherence_time_outcome_is_cached():
+    trace = quick_trace(thermal_spec(), n_tauc=2_000)
+    first = coherence_time(trace)
+    assert coherence_time(trace) == first
+    assert first == coherence_time(FieldTrace(trace.samples, trace.dt, 0.0, 0))
+    spec = SourceSpec(
+        statistics="coherent",
+        center_wavelength=976e-9,
+        bandwidth_fwhm=2e6,
+        spectral_shape="lorentzian",
+        mean_power=1e-3,
+    )
+    flat = make_coherent_trace(spec, 1e-6, 1e-10, 3)
+    for _ in range(2):
+        with pytest.raises(EstimationError):
+            coherence_time(flat)

@@ -11,7 +11,7 @@ from photonstat.sources import SourceSpec, make_trace, nominal_coherence_time
 from photonstat.traceio import TRACE_MAGIC, read_trace, write_trace
 
 
-def sample_trace():
+def sample_trace(n_tauc=500):
     spec = SourceSpec(
         statistics="thermal-gaussian",
         center_wavelength=976e-9,
@@ -20,7 +20,7 @@ def sample_trace():
         mean_power=1e-3,
     )
     tau_c = nominal_coherence_time("gaussian", 5.0e12)
-    return make_trace(spec, 500 * tau_c, tau_c / 8, 21)
+    return make_trace(spec, n_tauc * tau_c, tau_c / 8, 21)
 
 
 def test_round_trip_exact(tmp_path):
@@ -121,3 +121,19 @@ def test_too_few_samples_is_a_data_error(tmp_path, capsys):
     with pytest.raises(FormatError):
         read_trace(path)
     cli_data_error(capsys, path)
+
+
+def test_non_finite_sample_is_a_data_error(tmp_path, capsys):
+    # One NaN in a 16 000-sample thermal trace: no NaN estimate, no artifact.
+    trace = sample_trace(n_tauc=2_000)
+    assert trace.n_samples == 16_000
+    path = tmp_path / "t.pstt"
+    write_trace(trace, path)
+    blob = bytearray(path.read_bytes())
+    offset = 40 + 16 * 100
+    blob[offset : offset + 8] = struct.pack("<d", np.nan)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="finite"):
+        read_trace(path)
+    cli_data_error(capsys, path)
+    assert not (tmp_path / "o").exists()
