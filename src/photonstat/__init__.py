@@ -56,6 +56,7 @@ from .instruments import (
     InterferogramScan,
     extract_g2,
     fluorescence_counts,
+    hbt_ensemble,
     hbt_scan,
     photon_counter,
 )
@@ -80,6 +81,7 @@ from .sources import (
     make_tunable_trace,
     nominal_coherence_time,
     nominal_g2,
+    trace_grid,
 )
 from .tpa import (
     AbsorberSpec,
@@ -137,6 +139,7 @@ __all__ = [
     "g2_from_counts",
     "g2_tau",
     "gn_zero",
+    "hbt_ensemble",
     "hbt_scan",
     "load_config",
     "lineshape",
@@ -160,5 +163,6 @@ __all__ = [
     "rng_for",
     "source_preset",
     "tpa_rate_timedomain",
+    "trace_grid",
     "write_trace",
 ]

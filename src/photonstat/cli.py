@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +54,9 @@ from .experiments import (
     power_sweep,
     reproduce_fig2,
 )
-from .instruments import InterferogramScan, extract_g2, hbt_scan
+from .instruments import hbt_ensemble
 from .seeding import derive_seed
-from .sources import coherence_time, make_trace, nominal_coherence_time
+from .sources import coherence_time, make_trace, trace_grid
 from .svgplot import loglog_panel_svg
 from .traceio import read_trace, write_trace
 
@@ -189,19 +188,13 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _grid_for(cfg: RunConfig, section: str, spec) -> tuple[float, float, float]:
-    """(tau_c_nominal, dt, duration) for a source under a config section."""
-    params = cfg.data[section]
-    tau_c = nominal_coherence_time(spec.spectral_shape, spec.bandwidth_hz)
-    dt = tau_c / float(params["samples_per_tauc"])
-    duration = float(params["duration_over_tauc"]) * tau_c
-    return tau_c, dt, duration
-
-
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
-    name = args.source or cfg.data["simulate"]["source"]
+    params = cfg.data["simulate"]
+    name = args.source or params["source"]
     spec = resolve_source(cfg.data, name)
-    tau_c_nom, dt, duration = _grid_for(cfg, "simulate", spec)
+    tau_c_nom, duration, dt = trace_grid(
+        spec, params["duration_over_tauc"], params["samples_per_tauc"]
+    )
     trace = make_trace(spec, duration, dt, derive_seed(cfg.master_seed, _SEED_SIMULATE))
     out = _out_dir(cfg)
     trace_path = out / f"trace_{name}.pstt"
@@ -281,49 +274,28 @@ def cmd_gn(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_hbt(cfg: RunConfig, args: argparse.Namespace) -> None:
-    name = args.source or cfg.data["hbt"]["source"]
-    spec = resolve_source(cfg.data, name)
     params = cfg.data["hbt"]
-    tau_c_nom, dt, duration = _grid_for(cfg, "hbt", spec)
-    step = float(params["step_over_tauc"]) * tau_c_nom
-    max_delay = float(params["max_delay_over_tauc"]) * tau_c_nom
-    delays = np.arange(0.0, max_delay + step / 2.0, step)
+    name = args.source or params["source"]
     n_real = int(params["realizations"])
-    if n_real < 1:
-        raise ConfigError("hbt.realizations must be >= 1")
-    tail = (float(params["tail_start_over_tauc"]) * tau_c_nom, max_delay)
-
-    def _one(k: int) -> InterferogramScan:
-        trace = make_trace(spec, duration, dt, derive_seed(cfg.master_seed, _SEED_HBT, k))
-        return hbt_scan(trace, delays)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            scans = list(pool.map(_one, range(n_real)))
-    else:
-        scans = [_one(k) for k in range(n_real)]
-    raw_mean = np.mean([s.raw_signal for s in scans], axis=0)
-    filt_mean = np.mean([s.filtered_signal for s in scans], axis=0)
-    averaged = InterferogramScan(delays, raw_mean, filt_mean, scans[0].fringe_period)
-    est = extract_g2(averaged, tail, coherence_time=tau_c_nom)
-    per_real = np.array(
-        [
-            extract_g2(s, tail, coherence_time=tau_c_nom).values[0]
-            for s in scans
-        ]
+    ens = hbt_ensemble(
+        resolve_source(cfg.data, name),
+        [derive_seed(cfg.master_seed, _SEED_HBT, k) for k in range(n_real)],
+        # The five lengths in units of the nominal coherence time.
+        **{key: value for key, value in params.items() if key.endswith("_tauc")},
+        threads=cfg.threads,
     )
-    spread = float(np.std(per_real, ddof=1) / np.sqrt(n_real)) if n_real > 1 else 0.0
+    spread = np.std(ens.realization_g2, ddof=1) / np.sqrt(n_real) if n_real > 1 else 0.0
     out = _out_dir(cfg)
     csv_path = out / f"hbt_{name}.csv"
-    averaged.to_csv(csv_path, metadata=_meta_line(cfg))
+    ens.scan.to_csv(csv_path, metadata=_meta_line(cfg))
     summary = {
         "source": name,
-        "g2_zero": float(est.values[0]),
-        "g2_zero_stderr": max(float(est.std_errors[0]), spread),
+        "g2_zero": float(ens.g2.values[0]),
+        "g2_zero_stderr": max(float(ens.g2.std_errors[0]), float(spread)),
         "realizations": n_real,
-        "tail_window_s": [tail[0], tail[1]],
-        "tau_c_nominal_s": tau_c_nom,
-        "fringe_period_s": averaged.fringe_period,
+        "tail_window_s": list(ens.tail_window),
+        "tau_c_nominal_s": ens.tau_c,
+        "fringe_period_s": ens.scan.fringe_period,
         "scan_file": csv_path.name,
         **_meta(cfg),
     }
@@ -345,14 +317,6 @@ def _experiment_pieces(cfg: RunConfig):
     return exp, sources, absorbers, chain, powers
 
 
-def _trace_grid(exp: dict, spec) -> tuple[float, float]:
-    tau_c = nominal_coherence_time(spec.spectral_shape, spec.bandwidth_hz)
-    return (
-        float(exp["trace_duration_over_tauc"]) * tau_c,
-        tau_c / float(exp["trace_samples_per_tauc"]),
-    )
-
-
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
     exp, sources, absorbers, chain, powers = _experiment_pieces(cfg)
     source_name = args.source or exp["sources"][0]
@@ -364,7 +328,9 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
         float(exp["calibration_target_counts"]),
         float(exp["calibration_power_w"]),
     )
-    duration, dt = _trace_grid(exp, spec)
+    _, duration, dt = trace_grid(
+        spec, exp["trace_duration_over_tauc"], exp["trace_samples_per_tauc"]
+    )
     sweep = power_sweep(
         spec,
         absorber,
@@ -395,15 +361,10 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
     )
 
 
-def _format_count(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_sweep_csv(path: Path, sweep: SweepResult, metadata: str) -> None:
-    rows = ([repr(float(p)), _format_count(c), k] for p, c, k in sweep.records)
-    _write_csv(path, metadata, ["P_exc_W", "counts", "repeat"], rows)
+    # Python floats print as repr, counts as ints (noise on) or floats.
+    columns = (sweep.power.tolist(), sweep.count.tolist(), sweep.repeat.tolist())
+    _write_csv(path, metadata, ["P_exc_W", "counts", "repeat"], zip(*columns))
 
 
 def _read_sweep_csv(path: Path, config_hash: str) -> SweepResult:
@@ -431,14 +392,9 @@ def _read_sweep_csv(path: Path, config_hash: str) -> SweepResult:
         if record is None or not (0 < record[0] < np.inf and 0 <= record[1] < np.inf):
             raise FormatError(f"{path}: malformed row {row!r}")
         records.append(record)
-    stem = path.stem
-    fluor, _, source = stem.partition("__")
-    return SweepResult(
-        source_label=source,
-        fluorophore_label=fluor,
-        records=records,
-        seed=0,
-    )
+    fluor, _, source = path.stem.partition("__")
+    power, count, repeat = np.array(records, dtype=float).reshape(-1, 3).T
+    return SweepResult(source, fluor, power, count, repeat.astype(int))
 
 
 def _panel_svg(cfg: RunConfig, fluor_name: str, panel: Fig2Panel) -> str:
@@ -526,10 +482,6 @@ def _write_fits_csv(path: Path, rows: list, metadata: str) -> None:
 
 def cmd_reproduce_fig2(cfg: RunConfig, args: argparse.Namespace) -> None:
     exp, sources, absorbers, chain, powers = _experiment_pieces(cfg)
-    trace_duration = trace_dt = None
-    if exp["statistics_mode"] == "trace":
-        # Grid tied to the first source's spectrum; sources share it here.
-        trace_duration, trace_dt = _trace_grid(exp, sources[0])
     report = reproduce_fig2(
         sources=sources,
         absorbers=absorbers,
@@ -539,8 +491,8 @@ def cmd_reproduce_fig2(cfg: RunConfig, args: argparse.Namespace) -> None:
         master_seed=cfg.master_seed,
         noise=cfg.noise,
         statistics_mode=exp["statistics_mode"],
-        trace_duration=trace_duration,
-        trace_dt=trace_dt,
+        trace_duration_over_tauc=float(exp["trace_duration_over_tauc"]),
+        trace_samples_per_tauc=float(exp["trace_samples_per_tauc"]),
         calibration_target=float(exp["calibration_target_counts"]),
         calibration_power=float(exp["calibration_power_w"]),
         panel_scale_error=float(exp["panel_scale_error"]),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -169,7 +170,19 @@ def load_config(path=None) -> dict:
         raise ConfigError(
             f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}"
         )
+    _check_report_ranges(merged["experiment"])
     return merged
+
+
+def _check_report_ranges(exp: dict) -> None:
+    """Refuse scale errors below 0 or not finite, and a band without lo <= hi."""
+    scales = [float(exp[key]) for key in ("panel_scale_error", "arm_scale_error")]
+    lo, hi = (float(v) for v in exp["ratio_band"])
+    if not (all(0 <= s < math.inf for s in scales) and lo <= hi):  # NaN fails
+        raise ConfigError(
+            "experiment: panel_scale_error and arm_scale_error must be >= 0 and "
+            f"finite and ratio_band [lo, hi] needs lo <= hi, got {scales}, {[lo, hi]}"
+        )
 
 
 def config_hash(data: dict) -> str:

@@ -18,7 +18,6 @@ trace compute each of them once.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,12 +96,6 @@ class CorrelationEstimate:
         if self.delays.size > 1 and np.any(np.diff(self.delays) <= 0):
             raise InvalidArgumentError("delays must be strictly increasing")
 
-    @property
-    def zero_delay_value(self) -> float:
-        if self.delays[0] != 0.0:
-            raise InvalidArgumentError("estimate does not include tau = 0")
-        return float(self.values[0])
-
     def to_csv(self, path, metadata: str | None = None) -> None:
         columns = (self.delays, self.values, self.std_errors)
         _write_csv(path, metadata, ["tau_s", "g_value", "std_err"], _repr_rows(columns))
@@ -115,11 +108,6 @@ class CorrelationEstimate:
             "std_errors": [float(e) for e in self.std_errors],
             "effective_samples": self.effective_samples,
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _block_means(x: np.ndarray, block_len: int, nb: int) -> np.ndarray:

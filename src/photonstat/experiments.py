@@ -15,7 +15,6 @@ switch off with noise.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +26,8 @@ from .errors import (
     InvalidArgumentError,
 )
 from .instruments import DetectionChain, _poisson_counts, fluorescence_counts
-from .seeding import derive_seed, rng_for
-from .sources import SourceSpec, make_trace, nominal_coherence_time, nominal_g2
+from .seeding import derive_seed, rng_for, thread_map
+from .sources import SourceSpec, make_trace, nominal_g2, trace_grid
 from .tpa import AbsorberSpec, RatioEstimate, lineshape, rate_ratio
 
 __all__ = [
@@ -47,28 +46,28 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepResult:
     """Counts recorded over one power sweep of one (source, absorber) pair.
 
-    records holds (P_exc in W, counts, repeat index) tuples, ordered by
-    power then repeat. counts are ints with noise on and exact float
-    expectations with noise off. g2_value records the source statistic the
-    sweep actually used.
+    power (P_exc in W), count and repeat (the repeat index) hold one entry
+    per record, ordered by power then repeat. count holds ints with noise
+    on and exact float expectations with noise off. g2_value records the
+    source statistic the sweep actually used.
     """
 
     source_label: str
     fluorophore_label: str
-    records: list
-    seed: int
+    power: np.ndarray
+    count: np.ndarray
+    repeat: np.ndarray
     g2_value: float = float("nan")
-    statistics_mode: str = "nominal"
 
     def powers(self) -> np.ndarray:
-        return np.array([rec[0] for rec in self.records], dtype=float)
+        return self.power
 
     def counts(self) -> np.ndarray:
-        return np.array([rec[1] for rec in self.records], dtype=float)
+        return self.count
 
 
 @dataclass
@@ -171,9 +170,9 @@ def power_sweep(
     if statistics_mode == "nominal":
         g2_value = nominal_g2(source)
     elif statistics_mode == "trace":
-        tau_c = nominal_coherence_time(source.spectral_shape, source.bandwidth_hz)
-        duration = trace_duration if trace_duration is not None else 5000.0 * tau_c
-        dt = trace_dt if trace_dt is not None else tau_c / 8.0
+        _, duration, dt = trace_grid(source, 5000.0, 8.0)
+        duration = trace_duration if trace_duration is not None else duration
+        dt = trace_dt if trace_dt is not None else dt
         trace = make_trace(source, duration, dt, derive_seed(seed, 0))
         g2_value = trace.moment(2, normalized=True)
     else:
@@ -187,15 +186,13 @@ def power_sweep(
     counts = np.repeat(np.array(expected)[:, None], repeats, axis=1)
     if noise:
         counts = _poisson_counts(rng_for(seed, 1), counts)
-    rows = zip((chain.power_correction_eta * powers).tolist(), counts.tolist())
-    records = [(p, c, k) for p, row in rows for k, c in enumerate(row)]
     return SweepResult(
         source_label=source.label or source.statistics,
         fluorophore_label=absorber.label,
-        records=records,
-        seed=seed,
+        power=np.repeat(chain.power_correction_eta * powers, repeats),
+        count=counts.ravel(),
+        repeat=np.tile(np.arange(repeats), powers.size),
         g2_value=g2_value,
-        statistics_mode=statistics_mode,
     )
 
 
@@ -386,8 +383,8 @@ def reproduce_fig2(
     master_seed: int,
     noise: bool = True,
     statistics_mode: str = "nominal",
-    trace_duration: float | None = None,
-    trace_dt: float | None = None,
+    trace_duration_over_tauc: float = 5000.0,
+    trace_samples_per_tauc: float = 8.0,
     calibration_target: float = 1000.0,
     calibration_power: float = 300e-6,
     panel_scale_error: float = 0.10,
@@ -401,7 +398,8 @@ def reproduce_fig2(
     enhancement ratio of each panel is a(bunched)/a(reference). Each
     (fluorophore, source) sweep is an independent job with seeds derived
     from the master seed by fixed indices, so reports are byte-identical
-    for a given (config, seed) at any thread count.
+    for a given (config, seed) at any thread count. In trace mode each
+    source's trace grid is sized from its own coherence time (trace_grid).
     """
     if len(sources) != 2:
         raise InvalidArgumentError("exactly two sources are required")
@@ -411,6 +409,10 @@ def reproduce_fig2(
     if source_keys[0] == source_keys[1]:
         raise InvalidArgumentError("the two sources need distinct labels")
     n_src = len(sources)
+    grids = [
+        trace_grid(s, trace_duration_over_tauc, trace_samples_per_tauc)
+        for s in sources
+    ]
     if noise:
         factors = _scale_factors(
             master_seed, len(absorbers), n_src, panel_scale_error, arm_scale_error
@@ -427,6 +429,7 @@ def reproduce_fig2(
 
     def _run(job):
         i, j, source, absorber = job
+        _, duration, dt = grids[j]
         sweep = power_sweep(
             source,
             absorber,
@@ -436,16 +439,12 @@ def reproduce_fig2(
             derive_seed(master_seed, 100 + i * n_src + j),
             noise=noise,
             statistics_mode=statistics_mode,
-            trace_duration=trace_duration,
-            trace_dt=trace_dt,
+            trace_duration=duration,
+            trace_dt=dt,
         )
         return sweep, fit_quadratic(sweep)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run, jobs))
-    else:
-        results = [_run(job) for job in jobs]
+    results = thread_map(_run, jobs, threads)
 
     panels = []
     for i, absorber in enumerate(absorbers):

@@ -30,16 +30,26 @@ from .errors import (
     InvalidArgumentError,
     OutOfModelError,
 )
-from .seeding import rng_for
-from .sources import FieldTrace, _fft_len, _inverse_of_real_spectrum, _lag_sums
+from .seeding import rng_for, thread_map
+from .sources import (
+    FieldTrace,
+    SourceSpec,
+    _fft_len,
+    _inverse_of_real_spectrum,
+    _lag_sums,
+    make_trace,
+    trace_grid,
+)
 from .tpa import AbsorberSpec, mollow_rate
 
 __all__ = [
     "DetectionChain",
     "InterferogramScan",
+    "HbtEnsemble",
     "photon_counter",
     "hbt_scan",
     "extract_g2",
+    "hbt_ensemble",
     "fluorescence_counts",
 ]
 
@@ -297,6 +307,60 @@ def extract_g2(
     return CorrelationEstimate(
         2, delays, np.maximum(values, 0.0), errors, n_tail
     )
+
+
+@dataclass
+class HbtEnsemble:
+    """What hbt_ensemble measured: the realization-mean scan, the g2 extracted
+    from it, and the g2(0) extracted from each realization's own scan."""
+
+    scan: InterferogramScan
+    g2: CorrelationEstimate
+    realization_g2: np.ndarray
+    tail_window: tuple  # (lo, hi) in seconds
+    tau_c: float  # nominal coherence time
+
+
+def hbt_ensemble(
+    spec: SourceSpec,
+    seeds,
+    duration_over_tauc: float,
+    samples_per_tauc: float,
+    max_delay_over_tauc: float,
+    step_over_tauc: float,
+    tail_start_over_tauc: float,
+    threads: int = 1,
+) -> HbtEnsemble:
+    """Scan one trace of spec per seed and average the scans.
+
+    Lengths are in units of the nominal coherence time: each trace as in
+    trace_grid, the delays 0, step, ..., max_delay and the tail window
+    [tail_start, max_delay] of extract_g2. Scans run on up to threads worker
+    threads; the result depends on the seeds only.
+    """
+    if len(seeds) < 1:
+        raise InvalidArgumentError("an ensemble needs at least one seed")
+    tau_c, duration, dt = trace_grid(spec, duration_over_tauc, samples_per_tauc)
+    step = float(step_over_tauc) * tau_c
+    max_delay = float(max_delay_over_tauc) * tau_c
+    if not 0 < step <= max_delay < np.inf:
+        raise InvalidArgumentError(
+            "step_over_tauc and max_delay_over_tauc must be finite with "
+            f"0 < step <= max_delay, got {step_over_tauc!r}, {max_delay_over_tauc!r}"
+        )
+    delays = np.arange(0.0, max_delay + step / 2.0, step)
+    tail = (float(tail_start_over_tauc) * tau_c, max_delay)
+    scans = thread_map(
+        lambda seed: hbt_scan(make_trace(spec, duration, dt, seed), delays),
+        seeds,
+        threads,
+    )
+    raw_mean = np.mean([s.raw_signal for s in scans], axis=0)
+    filt_mean = np.mean([s.filtered_signal for s in scans], axis=0)
+    averaged = InterferogramScan(delays, raw_mean, filt_mean, scans[0].fringe_period)
+    g2 = extract_g2(averaged, tail, coherence_time=tau_c)
+    per_real = [extract_g2(s, tail, coherence_time=tau_c).values[0] for s in scans]
+    return HbtEnsemble(averaged, g2, np.array(per_real), tail, tau_c)
 
 
 def fluorescence_counts(

@@ -9,9 +9,11 @@ never on execution order or thread count.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
-__all__ = ["derive_seed", "rng_for"]
+__all__ = ["derive_seed", "rng_for", "thread_map"]
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -24,3 +26,11 @@ def rng_for(master_seed: int, *indices: int) -> np.random.Generator:
     """Return a Generator seeded by the given index path."""
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(indices))
     return np.random.default_rng(ss)
+
+
+def thread_map(func, items, threads: int = 1) -> list:
+    """[func(item) for item in items], computed on up to threads threads."""
+    if threads <= 1:
+        return [func(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(func, items))

@@ -44,6 +44,7 @@ __all__ = [
     "make_trace",
     "coherence_time",
     "nominal_coherence_time",
+    "trace_grid",
     "estimate_bandwidth_hz",
     "nominal_g2",
 ]
@@ -91,8 +92,8 @@ class FieldTrace:
             raise InvalidArgumentError("dt must be positive and finite")
         if not math.isfinite(self.carrier_freq):
             raise InvalidArgumentError("carrier_freq must be finite")
-        if samples.size < 2:
-            raise InvalidArgumentError("a trace needs at least 2 samples")
+        if samples.ndim != 1 or samples.size < 2:
+            raise InvalidArgumentError("a trace needs a 1-D array of 2 or more samples")
         # One reduction instead of an n-sized boolean temporary; a sum of
         # finite samples that overflows is refused too.
         if not np.isfinite(samples.sum()):
@@ -254,6 +255,21 @@ def nominal_coherence_time(shape: str, fwhm_hz: float) -> float:
     raise InvalidArgumentError(f"unknown spectral shape {shape!r}")
 
 
+def trace_grid(
+    spec: SourceSpec, duration_over_tauc: float, samples_per_tauc: float
+) -> tuple[float, float, float]:
+    """(tau_c, duration, dt) of a trace duration_over_tauc nominal coherence
+    times of spec long, sampled samples_per_tauc times per coherence time."""
+    over, per = float(duration_over_tauc), float(samples_per_tauc)
+    if not (0 < over < math.inf and 0 < per < math.inf):
+        raise InvalidArgumentError(
+            "duration_over_tauc and samples_per_tauc must be positive and "
+            f"finite, got {duration_over_tauc!r} and {samples_per_tauc!r}"
+        )
+    tau_c = nominal_coherence_time(spec.spectral_shape, spec.bandwidth_hz)
+    return tau_c, over * tau_c, tau_c / per
+
+
 def _check_grid(spec: SourceSpec, duration: float, dt: float) -> int:
     """Validate (duration, dt) against the spectrum; return sample count."""
     if dt <= 0 or duration <= 0:
@@ -401,13 +417,9 @@ def make_pseudothermal_trace(
 
 
 def make_tunable_trace(
-    target_g2: float,
-    duration: float,
-    dt: float,
-    seed: int,
-    spec: SourceSpec | None = None,
+    spec: SourceSpec, duration: float, dt: float, seed: int
 ) -> FieldTrace:
-    """Synthesize a field whose expected g2(0) equals target_g2.
+    """Synthesize a field whose expected g2(0) equals spec.target_g2.
 
     For 1 <= target_g2 <= 2 the trace is a segment-wise statistical mixture:
     each segment (about 16 coherence times long) is thermal with probability
@@ -416,28 +428,17 @@ def make_tunable_trace(
     <I^2>/<I>^2 = p*2 + (1-p)*1 = target_g2 and no intensity correlation
     survives beyond the coherence time. For target_g2 > 2 thermal segments
     are gated on with duty cycle q = 2/target_g2 and scaled by 1/sqrt(q),
-    giving <I^2>/<I>^2 = 2/q.
-
-    spec, when given, supplies the spectrum, power, and carrier; its
-    statistics class must be "tunable" and its target_g2 field is ignored
-    in favor of the explicit argument.
+    giving <I^2>/<I>^2 = 2/q. The segments take spec's spectrum, power and
+    carrier.
     """
-    if target_g2 < 1.0:
-        raise InvalidArgumentError(
-            "target_g2 < 1 is not reachable by a classical intensity mixture"
-        )
-    if spec is None:
-        spec = SourceSpec(
-            statistics="tunable",
-            center_wavelength=976e-9,
-            bandwidth_fwhm=20e-9,
-            bandwidth_convention="wavelength",
-            spectral_shape="gaussian",
-            target_g2=target_g2,
-        )
     if spec.statistics != "tunable":
         raise InvalidArgumentError(
             f"make_tunable_trace needs tunable statistics, got {spec.statistics!r}"
+        )
+    target_g2 = spec.target_g2
+    if target_g2 < 1.0:
+        raise InvalidArgumentError(
+            "target_g2 < 1 is not reachable by a classical intensity mixture"
         )
     if target_g2 == 1.0:
         coherent_spec = replace(spec, statistics="coherent", amplitude_noise=0.0)
@@ -474,7 +475,7 @@ def make_trace(spec: SourceSpec, duration: float, dt: float, seed: int) -> Field
     if spec.statistics == "pseudo-thermal":
         return make_pseudothermal_trace(spec, duration, dt, seed)
     if spec.statistics == "tunable":
-        return make_tunable_trace(spec.target_g2, duration, dt, seed, spec=spec)
+        return make_tunable_trace(spec, duration, dt, seed)
     raise InvalidArgumentError(f"unknown statistics class {spec.statistics!r}")
 
 

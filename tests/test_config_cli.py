@@ -428,6 +428,27 @@ def test_runtime_needs_no_scipy(tmp_path):
         ("sweep", "absorbers: {DCM: {omega_f: .inf}}"),
         ("sweep", "absorbers: {DCM: {delta_omega_f: .nan}}"),
         ("sweep", "absorbers: {DCM: {dipole_sq: .nan}}"),
+        # Grid lengths, in units of the nominal coherence time.
+        ("hbt", "hbt: {step_over_tauc: 0.0}"),
+        ("hbt", "hbt: {step_over_tauc: .nan}"),
+        ("hbt", "hbt: {max_delay_over_tauc: .inf}"),
+        ("hbt", "hbt: {duration_over_tauc: .nan}"),
+        ("hbt", "hbt: {samples_per_tauc: -8.0}"),
+        ("simulate", "sources: {bad: {preset: sld}}\nsimulate: {samples_per_tauc: 0}"),
+        (
+            "simulate",
+            "sources: {bad: {preset: sld}}\nsimulate: {duration_over_tauc: .inf}",
+        ),
+        ("sweep", "experiment: {trace_samples_per_tauc: 0.0}"),
+        ("sweep", "experiment: {trace_duration_over_tauc: -5.0e+3}"),
+        (
+            "reproduce-fig2",
+            "experiment: {statistics_mode: trace, trace_duration_over_tauc: .nan}",
+        ),
+        (
+            "reproduce-fig2",
+            "experiment: {statistics_mode: trace, trace_samples_per_tauc: .inf}",
+        ),
     ],
 )
 def test_cli_rejects_non_finite_spec_values(tmp_path, capsys, command, yaml_text):
@@ -441,3 +462,59 @@ def test_cli_rejects_non_finite_spec_values(tmp_path, capsys, command, yaml_text
     assert len(err) == 1
     assert err[0].startswith("error [config-error]:")
     assert "finite" in err[0]
+
+
+@pytest.mark.parametrize("command", ["reproduce-fig2", "report"])
+@pytest.mark.parametrize(
+    "yaml_text",
+    [
+        "experiment: {arm_scale_error: -0.5}",
+        "experiment: {arm_scale_error: .nan}",
+        "experiment: {panel_scale_error: -0.1}",
+        "experiment: {panel_scale_error: .inf}",
+        "experiment: {ratio_band: [.nan, 2.3]}",
+        "experiment: {ratio_band: [1.6, .nan]}",
+        "experiment: {ratio_band: [2.3, 1.6]}",
+    ],
+)
+def test_cli_rejects_bad_report_settings(tmp_path, capsys, command, yaml_text):
+    # A negative scale error used to skip the systematic and fail the band
+    # check with exit 4; a NaN band failed every ratio with exit 4.
+    out = tmp_path / "fig2"
+    assert run_cli(["reproduce-fig2", "--out", out]) == 0
+    written = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml_text)
+    code, err = run_cli_error(capsys, [command, "--config", cfg, "--out", out])
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error [config-error]:")
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == written
+
+
+def test_cli_trace_mode_reference_source_first(tmp_path):
+    # Each source's trace grid follows its own coherence time, so the
+    # coherent dfb can come first; the ratio is then a(dfb)/a(sld) ~ 1/2.
+    # Band and seed were fixed before the first run.
+    out = tmp_path / "fig2"
+    cfg = tmp_path / "reversed.yaml"
+    cfg.write_text(
+        "experiment:\n"
+        "  statistics_mode: trace\n"
+        "  sources: [dfb, sld]\n"
+        "  ratio_band: [0.4, 0.6]\n"
+    )
+    args = ["--config", cfg, "--out", out, "--seed", 23]
+    assert run_cli(["reproduce-fig2", *args]) == 0
+    first = json.loads((out / "report.json").read_text())
+    assert first["all_within_band"]
+    for panel in first["panels"]:
+        assert 0.4 <= panel["ratio"] <= 0.6
+        assert panel["g2_values"]["dfb"] == pytest.approx(1.0, abs=1e-12)
+        assert abs(panel["g2_values"]["sld"] - 2.0) < 0.2
+    assert run_cli(["report", *args]) == 0
+    rebuilt = json.loads((out / "report.json").read_text())
+    assert len(rebuilt["panels"]) == len(first["panels"]) == 3
+    keys = ("fluorophore", "ratio", "ratio_stderr", "within_band", "fits")
+    for p1, p2 in zip(first["panels"], rebuilt["panels"]):
+        assert {k: p2[k] for k in keys} == {k: p1[k] for k in keys}

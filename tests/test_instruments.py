@@ -14,6 +14,7 @@ from photonstat.instruments import (
     _boxcar_filter,
     extract_g2,
     fluorescence_counts,
+    hbt_ensemble,
     hbt_scan,
     photon_counter,
 )
@@ -348,3 +349,71 @@ def test_scan_csv(tmp_path):
     assert lines[0] == "# seed=6"
     assert lines[1] == "tau_s,raw,filtered"
     assert len(lines) == 4
+
+
+# Lengths in units of the nominal coherence time, as in the hbt config.
+ENSEMBLE_GRID = dict(
+    duration_over_tauc=2_000,
+    samples_per_tauc=8,
+    max_delay_over_tauc=30,
+    step_over_tauc=0.5,
+    tail_start_over_tauc=10,
+)
+
+
+def test_ensemble_averages_the_realization_scans():
+    spec = source_preset("sld")
+    tau_c = nominal_coherence_time(spec.spectral_shape, spec.bandwidth_hz)
+    seeds = [21, 22]
+    ens = hbt_ensemble(spec, seeds, **ENSEMBLE_GRID)
+    delays = np.arange(0.0, 30 * tau_c + 0.25 * tau_c, 0.5 * tau_c)
+    tail = (10 * tau_c, 30 * tau_c)
+    scans = [
+        hbt_scan(make_trace(spec, 2_000 * tau_c, tau_c / 8, seed), delays)
+        for seed in seeds
+    ]
+    assert ens.tau_c == tau_c
+    assert ens.tail_window == tail
+    assert np.array_equal(ens.scan.delays, delays)
+    for name in ("raw_signal", "filtered_signal"):
+        mean = np.mean([getattr(scan, name) for scan in scans], axis=0)
+        assert np.array_equal(getattr(ens.scan, name), mean)
+    expected = extract_g2(ens.scan, tail, coherence_time=tau_c)
+    assert np.array_equal(ens.g2.values, expected.values)
+    assert ens.realization_g2.tolist() == [
+        extract_g2(scan, tail, coherence_time=tau_c).values[0] for scan in scans
+    ]
+
+
+def test_ensemble_is_independent_of_thread_count():
+    spec = source_preset("sld")
+    seeds = [11, 12, 13]
+    serial = hbt_ensemble(spec, seeds, **ENSEMBLE_GRID, threads=1)
+    threaded = hbt_ensemble(spec, seeds, **ENSEMBLE_GRID, threads=2)
+    for name in ("delays", "raw_signal", "filtered_signal"):
+        assert np.array_equal(getattr(serial.scan, name), getattr(threaded.scan, name))
+    assert np.array_equal(serial.g2.values, threaded.g2.values)
+    assert np.array_equal(serial.g2.std_errors, threaded.g2.std_errors)
+    assert np.array_equal(serial.realization_g2, threaded.realization_g2)
+    assert serial.tail_window == threaded.tail_window
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(step_over_tauc=0.0),
+        dict(step_over_tauc=np.nan),
+        dict(step_over_tauc=40.0),
+        dict(max_delay_over_tauc=np.inf),
+        dict(samples_per_tauc=0.0),
+        dict(duration_over_tauc=-1.0),
+    ],
+)
+def test_ensemble_refuses_bad_lengths(change):
+    with pytest.raises(InvalidArgumentError, match="finite|step_over_tauc"):
+        hbt_ensemble(source_preset("sld"), [1], **{**ENSEMBLE_GRID, **change})
+
+
+def test_ensemble_needs_a_seed():
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        hbt_ensemble(source_preset("sld"), [], **ENSEMBLE_GRID)

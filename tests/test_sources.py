@@ -30,6 +30,7 @@ from photonstat.sources import (
     make_tunable_trace,
     nominal_coherence_time,
     nominal_g2,
+    trace_grid,
 )
 
 BW = 5.0e12  # Hz, keeps tau_c around 0.13 ps
@@ -208,23 +209,16 @@ def tunable_spec(target, power=1e-3):
 def test_tunable_g2_target(target):
     tau_c = nominal_coherence_time("gaussian", BW)
     trace = make_tunable_trace(
-        target, 30_000 * tau_c, tau_c / 8, int(10 * target), spec=tunable_spec(target)
+        tunable_spec(target), 30_000 * tau_c, tau_c / 8, int(10 * target)
     )
     est = gn_zero(trace, 2)
     assert abs(est.values[0] - target) < max(4 * est.std_errors[0], 0.04)
 
 
-def test_tunable_default_spectrum():
-    # Without a spec the synthesized field carries a near-IR broadband
-    # spectrum; only the grid has to respect it.
-    trace = make_tunable_trace(1.5, 2e-10, 1e-14, 3)
-    assert trace.mean_power() > 0
-
-
 def test_tunable_mean_power_preserved():
     spec = tunable_spec(1.5, power=4e-3)
     tau_c = nominal_coherence_time("gaussian", BW)
-    trace = make_tunable_trace(1.5, 2_000 * tau_c, tau_c / 8, 11, spec=spec)
+    trace = make_tunable_trace(spec, 2_000 * tau_c, tau_c / 8, 11)
     assert trace.mean_power() == pytest.approx(4e-3, rel=1e-12)
 
 
@@ -422,8 +416,10 @@ def test_spec_validation():
             mean_power=1e-3,
             target_g2=0.5,
         )
+    below_one = tunable_spec(1.5)
+    below_one.target_g2 = 0.9  # a spec changed after its validation
     with pytest.raises(InvalidArgumentError):
-        make_tunable_trace(0.9, 1e-9, 1e-14, 1)
+        make_tunable_trace(below_one, 1e-9, 1e-14, 1)
 
 
 def test_make_trace_dispatch_unknown():
@@ -466,6 +462,26 @@ def test_trace_refuses_non_finite_samples(bad):
     field[100] = bad
     with pytest.raises(InvalidArgumentError, match="finite"):
         FieldTrace(field, 1e-14, 1e15, 0)
+
+
+@pytest.mark.parametrize("shape", [(2, 4_000), (4_000, 1), ()])
+def test_trace_refuses_samples_that_are_not_1d(shape):
+    # A 2-D array used to pass and break the estimators with a numpy
+    # broadcasting error.
+    with pytest.raises(InvalidArgumentError, match="1-D"):
+        FieldTrace(np.ones(shape, dtype=complex), 1e-14, 1e15, 0)
+
+
+def test_trace_grid_in_units_of_the_coherence_time():
+    spec = thermal_spec()
+    tau_c = nominal_coherence_time("gaussian", BW)
+    assert trace_grid(spec, 5_000.0, 8.0) == (tau_c, 5_000.0 * tau_c, tau_c / 8.0)
+    assert trace_grid(spec, "5e3", 8) == trace_grid(spec, 5_000.0, 8.0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            trace_grid(spec, bad, 8.0)
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            trace_grid(spec, 5_000.0, bad)
 
 
 def test_trace_moments():
