@@ -30,7 +30,7 @@ from .errors import (
 from .seeding import rng_for
 from .sources import (
     FieldTrace,
-    _block_spectra,
+    _block_lag_sums,
     _fft_len,
     _lag_sums,
 )
@@ -47,8 +47,9 @@ DEFAULT_BOOTSTRAP_REPS = 200
 # estimates are reproducible functions of the trace's seed_id.
 _BOOTSTRAP_STREAM = 0xB00F
 # g2_tau takes direct lag products, O(n) per lag, while their number times n
-# stays below this many times the points of its batched block transforms
-# (the measured cost ratio of the two per point, 2-vCPU x86, numpy 2.4).
+# stays below this many times nb _fft_len(block_len + k_max). The measured
+# cost ratio per point is ~7 at 2e6 samples, ~17 at 1.6e5 and ~50 at 4.8e4,
+# where call overheads dominate (2-vCPU x86, numpy 2.4); 24 lies between.
 _FFT_COST = 24
 
 
@@ -200,11 +201,11 @@ def _intensity_lag_sums(
 
     Returns their sums over t < n - k, and their per-block means over the
     first nb blocks of block_len samples (nb x lags; nb block_len + k_max
-    <= n). With many lags the sums come from one _lag_sums and the block
-    means from one batched rfft correlating each block with its
-    (block_len + k_max) window, O(n log n) whatever the number of lags.
-    A few lags, or a k_max so far beyond block_len that the windows outgrow
-    the trace, are cheaper as direct products at O(n) each.
+    <= n). With many lags both come from one pass of _block_lag_sums: its
+    rows give the block means, and their sum plus the lag sums of the tail
+    after the last window the totals, O(n log n) whatever the number of
+    lags. A few lags, or a k_max so far beyond block_len that the windows
+    outgrow the trace, are cheaper as direct products at O(n) each.
     """
     n = intensity.size
     k_max = int(lags[-1])
@@ -217,10 +218,9 @@ def _intensity_lag_sums(
             totals[j] = products.sum()
             blocks[:, j] = _block_means(products, block_len, nb)
         return totals, blocks
-    totals = _lag_sums(intensity, k_max)[lags]
-    spectra = _block_spectra(intensity, block_len, nb, k_max, m)
-    blocks = [np.fft.irfft(spec, m, axis=1)[:, lags] for spec in spectra]
-    return totals, np.concatenate(blocks) / block_len
+    rows = _block_lag_sums(intensity, block_len, nb, k_max, per_block=True)
+    totals = rows.sum(axis=0) + _lag_sums(intensity[nb * block_len :], k_max)
+    return totals[lags], rows[:, lags] / block_len
 
 
 def gn_zero(
@@ -270,8 +270,7 @@ def g2_from_counts(
         raise InsufficientDataError(
             f"need >= 1000 events, got {times.size}"
         )
-    n_unique = np.unique(times).size
-    if times.size - n_unique > 0.01 * times.size:
+    if np.count_nonzero(times[1:] == times[:-1]) > 0.01 * times.size:
         raise DegenerateInputError(
             "more than 1 percent duplicated timestamps: the zero-delay bin "
             "diverges, input looks corrupted or artificially paired"

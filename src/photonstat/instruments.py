@@ -35,8 +35,8 @@ from .sources import (
     FieldTrace,
     SourceSpec,
     _fft_len,
-    _inverse_of_real_spectrum,
     _lag_sums,
+    _power_lag_sums,
     make_trace,
     trace_grid,
 )
@@ -225,8 +225,8 @@ def _interferogram_lag_sums(e: np.ndarray, k_max: int):
     real_spec = spec.real * spec_e.real
     real_spec += spec.imag * spec_e.imag
     del spec, spec_e
-    # N > n + k_max > 2 k_max, so the half-size inverse reaches k_max.
-    mixed = _inverse_of_real_spectrum(2.0 * real_spec, k_max)
+    # nfft > n + k_max > 2 k_max, so the half-size inverse reaches k_max.
+    mixed = _power_lag_sums(2.0 * real_spec, nfft, k_max, real=False)
     quad = _lag_sums(e * e, k_max)
     return squares, cross, mixed, quad
 
@@ -343,10 +343,13 @@ def hbt_ensemble(
     tau_c, duration, dt = trace_grid(spec, duration_over_tauc, samples_per_tauc)
     step = float(step_over_tauc) * tau_c
     max_delay = float(max_delay_over_tauc) * tau_c
-    if not 0 < step <= max_delay < np.inf:
+    # A grid of more delays than samples would only ask numpy for a huge array.
+    n_samples = round(duration / dt)
+    if not (0 < step <= max_delay < np.inf and max_delay / step < n_samples):
         raise InvalidArgumentError(
             "step_over_tauc and max_delay_over_tauc must be finite with "
-            f"0 < step <= max_delay, got {step_over_tauc!r}, {max_delay_over_tauc!r}"
+            f"0 < step <= max_delay and at most {n_samples} delays, "
+            f"got {step_over_tauc!r}, {max_delay_over_tauc!r}"
         )
     delays = np.arange(0.0, max_delay + step / 2.0, step)
     tail = (float(tail_start_over_tauc) * tau_c, max_delay)

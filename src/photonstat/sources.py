@@ -57,10 +57,12 @@ SPECTRAL_SHAPES = ("gaussian", "lorentzian")
 # |g1| threshold below which the field is considered decorrelated; used by
 # coherence_time truncation and by its decay precondition.
 G1_DECAY_THRESHOLD = 0.05
-# Overlap-save geometry of _lag_sums: the shortest block, and the points
-# transformed per batch of blocks.
+# Block geometry of _lag_sums: the shortest block, and the points
+# _block_lag_sums transforms per batch of windows.
 _LAG_BLOCK = 8192
 _CHUNK_POINTS = 1 << 20
+# Periodogram segments of the default estimate_bandwidth_hz.
+_BANDWIDTH_SEGMENTS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +78,8 @@ class FieldTrace:
     generators and read_trace hand over arrays nobody else holds). NaN and
     inf samples are refused. What is derived from the samples is computed
     on first use and cached: intensity(), mean_power(), moment(n), the
-    coherence_time (or its EstimationError) and bootstrap_block_len.
+    coherence_time (or its EstimationError), bootstrap_block_len (from that
+    whole-trace coherence time) and the default estimate_bandwidth_hz.
     """
 
     samples: np.ndarray
@@ -153,17 +156,17 @@ class FieldTrace:
     def bootstrap_block_len(self) -> int:
         """Estimator bootstrap block: >= 10 coherence times and >= n // 200.
 
-        The coherence time is taken from the first 2^20 samples, so a long
-        trace costs no more than a 2^20-sample one. Without decay (coherent
+        The coherence time is the trace's own cached one, so the block
+        length costs no second coherence pass. Without decay (coherent
         light) the intensity is uncorrelated or constant: any split works.
         """
-        prefix = self.samples[: 1 << 20]
-        if prefix.size == self.n_samples:
-            tau_c = self._tau_c
-        else:
-            tau_c = _coherence_time(prefix, self.dt)
+        tau_c = self._tau_c
         ten_tau = 1 if tau_c is None else int(np.ceil(10.0 * tau_c / self.dt))
         return max(ten_tau, self.n_samples // 200, 1)
+
+    @cached_property
+    def _bandwidth_hz(self) -> float:
+        return _periodogram_fwhm_hz(self.samples, self.dt, _BANDWIDTH_SEGMENTS)
 
 
 @dataclass
@@ -496,65 +499,66 @@ def _fft_len(m: int) -> int:
     return best
 
 
-def _inverse_of_real_spectrum(spec: np.ndarray, k_max: int) -> np.ndarray:
-    """ifft(spec)[:k_max + 1] for a real spectrum, via the half-size rfft.
-
-    For real spec, ifft(spec)[k] = conj(fft(spec)[k]) / N. rfft gives every
-    k <= N/2, which covers k_max whenever N > 2 k_max.
-    """
-    return np.conj(np.fft.rfft(spec)[: k_max + 1]) / spec.size
+def _power_lag_sums(power: np.ndarray, m: int, max_lag: int, real: bool) -> np.ndarray:
+    """ifft(power)[..., :max_lag + 1] of real m-point spectra (last axis):
+    irfft of |rfft|^2 when real, else conj(rfft(power)) / m, which reaches
+    max_lag whenever m >= 2 max_lag. The inverse of |F|^2 is a lag sum."""
+    if real:
+        return np.fft.irfft(power, m)[..., : max_lag + 1]
+    return np.conj(np.fft.rfft(power)[..., : max_lag + 1]) / m
 
 
 def _lag_sums(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Sums over t < n - k of conj(x[t]) x[t + k], for k = 0..max_lag < n.
+    """Sums over t < n - k of conj(x[t]) x[t + k], for k = 0..max_lag.
 
-    The result is real for real x and complex otherwise. One FFT zero-padded
-    to _fft_len(n + max_lag + 1) points gives every lag: irfft(|rfft(x)|^2)
-    for real x, and for complex x the real power spectrum |fft(x)|^2
-    inverted with the half-size rfft. When max_lag is small next to n, x is
-    instead cut into blocks of L >= 4 max_lag samples (overlap-save): the
-    cross-spectra of every block with its (L + max_lag) window are summed
-    and inverted once, and the tail goes through the one-FFT path. Short
-    batched transforms stay in cache (at n = 2e6 they ran ~3x faster per
-    sample than one long transform), and nothing of size n is allocated.
+    Real for real x, complex otherwise. For max_lag small next to n,
+    _block_lag_sums covers blocks of max(8192, 4 max_lag) samples and one
+    FFT the tail: short batched transforms stay in cache and nothing of
+    size n is allocated. Otherwise one FFT of _fft_len(n + max_lag + 1)
+    points gives every lag from |F(x)|^2.
     """
     n = x.size
     real = not np.iscomplexobj(x)
     block = max(_LAG_BLOCK, 4 * max_lag)
     nb = (n - max_lag) // block
     if nb >= 4:
-        m = _fft_len(block + max_lag)
-        acc = sum(s.sum(axis=0) for s in _block_spectra(x, block, nb, max_lag, m))
-        head = np.fft.irfft(acc, m) if real else np.fft.ifft(acc)
-        return head[: max_lag + 1] + _lag_sums(x[nb * block :], max_lag)
+        head = _block_lag_sums(x, block, nb, max_lag)
+        return head + _lag_sums(x[nb * block :], max_lag)
     nfft = _fft_len(n + max_lag + 1)
     spec = np.fft.rfft(x, nfft) if real else np.fft.fft(x, nfft)
     del x
     power = spec.real**2
     power += spec.imag**2
     del spec
-    if real:
-        return np.fft.irfft(power, nfft)[: max_lag + 1].copy()
-    return _inverse_of_real_spectrum(power, max_lag)
+    return _power_lag_sums(power, nfft, max_lag, real).copy()
 
 
-def _block_spectra(x: np.ndarray, block: int, nb: int, max_lag: int, m: int):
-    """Yield cross-spectra conj(F(x_b)) F(w_b) of blocks with their windows.
+def _block_lag_sums(x: np.ndarray, block: int, nb: int, max_lag: int, per_block=False):
+    """Lag sums of the pairs that start in each of the first nb blocks.
 
-    x_b = x[b L : (b + 1) L] and w_b = x[b L : (b + 1) L + max_lag] for the
-    first nb blocks of L = block samples (nb L + max_lag <= n), in chunks of
-    consecutive blocks (one row each). F is an m-point FFT (rfft for real x)
-    with m >= L + max_lag, so the inverse of a row at k <= max_lag is the
-    block's lag sum over t < L of conj(x_b[t]) w_b[t + k].
+    Row b sums conj(x[bL + t]) x[bL + t + k] over t < L = block, k <= max_lag
+    (nb L + max_lag <= n); per_block returns the rows, else their sum. Each
+    window w_b = x[bL : bL + L + max_lag] is transformed once at
+    m >= L + 2 max_lag points and |W_b|^2 inverted, less the lag sums of the
+    overlap x[bL + L : bL + L + max_lag] (from >= 2 max_lag points). Batches
+    of about _CHUNK_POINTS points; for the sum, spectra add up per batch.
     """
-    fft = np.fft.rfft if not np.iscomplexobj(x) else np.fft.fft
+    real = not np.iscomplexobj(x)
+    fft = np.fft.rfft if real else np.fft.fft
+    m = _fft_len(block + 2 * max_lag)
     windows = np.lib.stride_tricks.sliding_window_view(x, block + max_lag)
     step = max(1, _CHUNK_POINTS // m)
+    rows = []
     for b0 in range(0, nb, step):
-        b1 = min(nb, b0 + step)
-        spec = fft(windows[b0 * block : b1 * block : block], m, axis=1)
-        spec *= np.conj(fft(x[b0 * block : b1 * block].reshape(-1, block), m, axis=1))
-        yield spec
+        chunk = windows[b0 * block : min(nb, b0 + step) * block : block]
+        sums = []
+        for part, size in ((chunk, m), (chunk[:, block:], _fft_len(2 * max_lag))):
+            spec = fft(part, size)
+            power = spec.real**2 + spec.imag**2
+            power = power if per_block else power.sum(axis=0, keepdims=True)
+            sums.append(_power_lag_sums(power, size, max_lag, real))
+        rows.append(sums[0] - sums[1])
+    return np.concatenate(rows) if per_block else sum(rows)[0]
 
 
 def _g1_magnitude(samples: np.ndarray, max_lag: int) -> np.ndarray:
@@ -602,13 +606,20 @@ def coherence_time(trace: FieldTrace) -> float:
     return tau_c
 
 
-def estimate_bandwidth_hz(trace: FieldTrace, n_segments: int = 64) -> float:
+def estimate_bandwidth_hz(trace: FieldTrace, n_segments: int = _BANDWIDTH_SEGMENTS) -> float:
     """FWHM of the field power spectrum, from a segment-averaged periodogram.
 
     Used by absorber-model validity checks. A constant (coherent) envelope
-    returns one frequency bin, i.e. roughly 1/duration.
+    returns one frequency bin, i.e. roughly 1/duration. The value for the
+    default segment count is cached on the trace.
     """
-    e = trace.samples
+    if n_segments == _BANDWIDTH_SEGMENTS:
+        return trace._bandwidth_hz
+    return _periodogram_fwhm_hz(trace.samples, trace.dt, n_segments)
+
+
+def _periodogram_fwhm_hz(e: np.ndarray, dt: float, n_segments: int) -> float:
+    """estimate_bandwidth_hz of the samples e taken every dt seconds."""
     n = e.size
     seg_len = max(16, n // n_segments)
     n_whole = n // seg_len
@@ -617,7 +628,7 @@ def estimate_bandwidth_hz(trace: FieldTrace, n_segments: int = 64) -> float:
     segs = e[: n_whole * seg_len].reshape(n_whole, seg_len)
     psd = np.mean(np.abs(np.fft.fft(segs, axis=1)) ** 2, axis=0)
     psd = np.fft.fftshift(psd)
-    freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, trace.dt))
+    freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, dt))
     df = float(freqs[1] - freqs[0])
 
     def _width_bins(spectrum: np.ndarray) -> float:

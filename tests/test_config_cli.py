@@ -430,6 +430,7 @@ def test_runtime_needs_no_scipy(tmp_path):
         ("sweep", "absorbers: {DCM: {dipole_sq: .nan}}"),
         # Grid lengths, in units of the nominal coherence time.
         ("hbt", "hbt: {step_over_tauc: 0.0}"),
+        ("hbt", "hbt: {step_over_tauc: 1.0e-300}"),
         ("hbt", "hbt: {step_over_tauc: .nan}"),
         ("hbt", "hbt: {max_delay_over_tauc: .inf}"),
         ("hbt", "hbt: {duration_over_tauc: .nan}"),

@@ -1,12 +1,14 @@
 """Correlation estimators: symmetry, convergence, bootstrap calibration,
 photon-count histograms."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonstat import correlation
+from photonstat import correlation, sources
 from photonstat.correlation import g2_from_counts, g2_tau, gn_zero
 from photonstat.errors import (
     DegenerateInputError,
@@ -326,13 +328,57 @@ def test_counts_match_direct_pair_counts(k_max):
     assert np.allclose(est.values, np.maximum(expected, 0.0), rtol=0, atol=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2_000, 40_000),
+    block_len=st.integers(8, 3_000),
+    lag_draw=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_intensity_lag_sums_fft_path_matches_direct_products(n, block_len, lag_draw, seed):
+    # _FFT_COST = 0 forces the block transforms, a huge one direct products.
+    block_len = min(block_len, n // 4)
+    k_max = min(n // 2 - 1, 3 * block_len + 7)
+    lags = np.unique(np.round(np.array(lag_draw) * k_max).astype(int))
+    nb = (n - int(lags[-1])) // block_len
+    intensity = rng_for(seed, 6).exponential(1.0, n)
+    paths = {}
+    for cost in (0, 10**30):
+        with mock.patch.object(correlation, "_FFT_COST", cost):
+            paths[cost] = correlation._intensity_lag_sums(intensity, lags, block_len, nb)
+    for fft_part, direct_part in zip(paths[0], paths[10**30]):
+        assert fft_part.shape == direct_part.shape
+        assert np.all(np.abs(fft_part - direct_part) <= 1e-12 * np.abs(direct_part))
+
+
+def test_long_trace_measures_its_coherence_time_once(monkeypatch):
+    # Past 2^20 samples, too, the block length reads the one cached
+    # coherence pass of the whole trace.
+    calls = []
+    measure = sources._coherence_time
+
+    def counting(samples, dt):
+        calls.append(samples.size)
+        return measure(samples, dt)
+
+    monkeypatch.setattr(sources, "_coherence_time", counting)
+    trace = class_trace("thermal-gaussian", 1_717, per_tauc=640)
+    assert trace.n_samples > 1 << 20
+    g2_tau(trace, np.linspace(0.0, 15.0, 61) * TAU_C_976)
+    coherence_time(trace)
+    for order in (2, 3, 4):
+        gn_zero(trace, order)
+    assert calls == [trace.n_samples]
+
+
 # The estimators before FieldTrace cached its statistics: every call
-# rebuilt the intensity and re-measured the block length on a fresh trace.
+# rebuilt the intensity and re-measured the block length on a fresh trace
+# (from the whole trace's coherence time, at any length).
 def reference_block_len(trace):
     n = trace.n_samples
-    prefix = FieldTrace(trace.samples[: min(n, 1 << 20)], trace.dt, trace.carrier_freq, 0)
+    fresh = FieldTrace(trace.samples, trace.dt, trace.carrier_freq, 0)
     try:
-        ten_tau = int(np.ceil(10.0 * coherence_time(prefix) / trace.dt))
+        ten_tau = int(np.ceil(10.0 * coherence_time(fresh) / trace.dt))
     except EstimationError:
         ten_tau = 1
     return max(ten_tau, n // 200, 1)
@@ -380,9 +426,9 @@ def bits(x):
 @pytest.mark.parametrize("n_tauc, per_tauc", [(750, 64), (1_717, 640)])
 @pytest.mark.parametrize("statistics", sorted(CLASS_SPECS))
 def test_cached_statistics_match_uncached_reference(statistics, n_tauc, per_tauc):
-    # 48 000 samples take the block length from the trace's own cached
-    # coherence time; 1 098 880 (> 2^20) from its 2^20-sample prefix. The
-    # traces span under 2000 coherence times, so 10 tau_c outweighs n / 200.
+    # 48 000 and 1 098 880 (> 2^20) samples both take the block length from
+    # the whole trace's cached coherence time. The traces span under 2000
+    # coherence times, so 10 tau_c outweighs n / 200.
     trace = class_trace(statistics, n_tauc, per_tauc=per_tauc)
     assert (trace.n_samples > 1 << 20) == (per_tauc == 640)
     if statistics != "coherent":

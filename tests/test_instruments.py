@@ -407,6 +407,9 @@ def test_ensemble_is_independent_of_thread_count():
         dict(max_delay_over_tauc=np.inf),
         dict(samples_per_tauc=0.0),
         dict(duration_over_tauc=-1.0),
+        # 16 000 samples, against about 3e301 and 30 001 delays up to 30 tau_c.
+        dict(step_over_tauc=1e-300),
+        dict(step_over_tauc=1e-3),
     ],
 )
 def test_ensemble_refuses_bad_lengths(change):

@@ -277,9 +277,19 @@ def test_coherence_time_beyond_short_search():
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "int"])
-@pytest.mark.parametrize("n, max_lag", [(40_000, 50), (40_000, 19_999), (3_000, 7)])
+@pytest.mark.parametrize(
+    "n, max_lag",
+    [
+        (40_000, 50),  # blocks of 8192: 4 blocks and a tail of 7 232
+        (4 * 8_192 + 80, 50),  # exactly 4 blocks, tail 80
+        (6 * 8_192 + 2_048, 2_048),  # (n - K) divisible by L: tail of K samples
+        (5 * 8_192, 0),  # K = 0, and no tail at all
+        (130 * 8_192 + 90, 40),  # more windows than one transform batch
+        (40_000, 19_999),  # one padded FFT
+        (3_000, 7),  # one padded FFT
+    ],
+)
 def test_lag_sums_match_brute_force(kind, n, max_lag):
-    # (40 000, 50) runs the block-wise path, the others one padded FFT.
     rng = rng_for(n + max_lag, 4)
     x = {
         "real": rng.standard_normal(n),
@@ -289,7 +299,7 @@ def test_lag_sums_match_brute_force(kind, n, max_lag):
     sums = _lag_sums(x, max_lag)
     assert sums.shape == (max_lag + 1,)
     assert np.iscomplexobj(sums) == (kind == "complex")
-    lags = np.unique([0, 1, 7, max_lag // 2, max_lag - 1, max_lag])
+    lags = np.unique(np.clip([0, 1, 7, max_lag // 2, max_lag - 1, max_lag], 0, max_lag))
     brute = np.array([np.vdot(x[: n - k], x[k:]) for k in lags])
     tol = 1e-12 * float(np.vdot(x, x).real)
     assert np.all(np.abs(sums[lags] - brute) <= tol)
