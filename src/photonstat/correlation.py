@@ -47,10 +47,12 @@ DEFAULT_BOOTSTRAP_REPS = 200
 # estimates are reproducible functions of the trace's seed_id.
 _BOOTSTRAP_STREAM = 0xB00F
 # g2_tau takes direct lag products, O(n) per lag, while their number times n
-# stays below this many times nb _fft_len(block_len + k_max). The measured
-# cost ratio per point is ~7 at 2e6 samples, ~17 at 1.6e5 and ~50 at 4.8e4,
-# where call overheads dominate (2-vCPU x86, numpy 2.4); 24 lies between.
-_FFT_COST = 24
+# stays below this many times the points _block_lag_sums transforms. The
+# break-even ratio measured for 4.8e4-2e6 samples, block lengths n/200 and
+# 1-20 and k_max 40-2000 ran from 6.4 (2e6) to 19 (1.6e5, k_max = 2.5 L),
+# 2-vCPU x86, numpy 2.4; 11, near their geometric middle, keeps either path
+# within ~1.7x of the cheaper one.
+_FFT_COST = 11
 
 
 def _write_csv(path, metadata: str | None, header: list, rows) -> None:
@@ -209,8 +211,8 @@ def _intensity_lag_sums(
     """
     n = intensity.size
     k_max = int(lags[-1])
-    m = _fft_len(block_len + k_max)
-    if nb == 0 or lags.size * n <= _FFT_COST * nb * m:
+    points = nb * (_fft_len(block_len + 2 * k_max) + _fft_len(2 * k_max))
+    if nb == 0 or lags.size * n <= _FFT_COST * points:
         totals = np.empty(lags.size)
         blocks = np.empty((nb, lags.size))
         for j, k in enumerate(lags):
@@ -270,6 +272,9 @@ def g2_from_counts(
         raise InsufficientDataError(
             f"need >= 1000 events, got {times.size}"
         )
+    # NaN and +inf sort last, -inf first.
+    if not (np.isfinite(times[0]) and np.isfinite(times[-1])):
+        raise InvalidArgumentError("timestamps must be finite")
     if np.count_nonzero(times[1:] == times[:-1]) > 0.01 * times.size:
         raise DegenerateInputError(
             "more than 1 percent duplicated timestamps: the zero-delay bin "

@@ -61,8 +61,6 @@ G1_DECAY_THRESHOLD = 0.05
 # _block_lag_sums transforms per batch of windows.
 _LAG_BLOCK = 8192
 _CHUNK_POINTS = 1 << 20
-# Periodogram segments of the default estimate_bandwidth_hz.
-_BANDWIDTH_SEGMENTS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +76,8 @@ class FieldTrace:
     generators and read_trace hand over arrays nobody else holds). NaN and
     inf samples are refused. What is derived from the samples is computed
     on first use and cached: intensity(), mean_power(), moment(n), the
-    coherence_time (or its EstimationError), bootstrap_block_len (from that
-    whole-trace coherence time) and the default estimate_bandwidth_hz.
+    coherence_time (or its EstimationError) and bootstrap_block_len (from
+    that whole-trace coherence time).
     """
 
     samples: np.ndarray
@@ -159,14 +157,12 @@ class FieldTrace:
         The coherence time is the trace's own cached one, so the block
         length costs no second coherence pass. Without decay (coherent
         light) the intensity is uncorrelated or constant: any split works.
+        That pass grows with n: on a coherent trace it ends in the full
+        n/2-lag search (~0.45 s and ~100 MB at 2e6 samples).
         """
         tau_c = self._tau_c
         ten_tau = 1 if tau_c is None else int(np.ceil(10.0 * tau_c / self.dt))
         return max(ten_tau, self.n_samples // 200, 1)
-
-    @cached_property
-    def _bandwidth_hz(self) -> float:
-        return _periodogram_fwhm_hz(self.samples, self.dt, _BANDWIDTH_SEGMENTS)
 
 
 @dataclass
@@ -606,20 +602,13 @@ def coherence_time(trace: FieldTrace) -> float:
     return tau_c
 
 
-def estimate_bandwidth_hz(trace: FieldTrace, n_segments: int = _BANDWIDTH_SEGMENTS) -> float:
+def estimate_bandwidth_hz(trace: FieldTrace, n_segments: int = 64) -> float:
     """FWHM of the field power spectrum, from a segment-averaged periodogram.
 
     Used by absorber-model validity checks. A constant (coherent) envelope
-    returns one frequency bin, i.e. roughly 1/duration. The value for the
-    default segment count is cached on the trace.
+    returns one frequency bin, i.e. roughly 1/duration.
     """
-    if n_segments == _BANDWIDTH_SEGMENTS:
-        return trace._bandwidth_hz
-    return _periodogram_fwhm_hz(trace.samples, trace.dt, n_segments)
-
-
-def _periodogram_fwhm_hz(e: np.ndarray, dt: float, n_segments: int) -> float:
-    """estimate_bandwidth_hz of the samples e taken every dt seconds."""
+    e = trace.samples
     n = e.size
     seg_len = max(16, n // n_segments)
     n_whole = n // seg_len
@@ -628,7 +617,7 @@ def _periodogram_fwhm_hz(e: np.ndarray, dt: float, n_segments: int) -> float:
     segs = e[: n_whole * seg_len].reshape(n_whole, seg_len)
     psd = np.mean(np.abs(np.fft.fft(segs, axis=1)) ** 2, axis=0)
     psd = np.fft.fftshift(psd)
-    freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, dt))
+    freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, trace.dt))
     df = float(freqs[1] - freqs[0])
 
     def _width_bins(spectrum: np.ndarray) -> float:

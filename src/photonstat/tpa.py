@@ -110,9 +110,11 @@ def mollow_rate(
 
 
 def _check_broadband(trace: FieldTrace, absorber: AbsorberSpec, force: bool) -> None:
+    if force:
+        return
     field_width = 2.0 * np.pi * estimate_bandwidth_hz(trace)
     ratio = absorber.delta_omega_f / field_width
-    if ratio < BROADBAND_MIN_RATIO and not force:
+    if ratio < BROADBAND_MIN_RATIO:
         raise ModelDomainError(
             f"final-state width / field bandwidth = {ratio:.2f} < "
             f"{BROADBAND_MIN_RATIO}; the <I^2> reduction of the rate is "

@@ -158,6 +158,10 @@ def test_counts_input_validation():
     with pytest.raises(DegenerateInputError):
         g2_from_counts(times, 1e-3, 1e-2)
     good = np.sort(rng.uniform(0, 1, 2000))
+    for bad in (np.nan, np.inf, -np.inf):
+        for count in (1, 100):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                g2_from_counts(np.concatenate([good, np.full(count, bad)]), 1e-3, 1e-2)
     with pytest.raises(InvalidArgumentError):
         g2_from_counts(good, -1e-3, 1e-2)
     with pytest.raises(InvalidArgumentError):

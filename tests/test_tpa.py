@@ -10,14 +10,8 @@ from photonstat.errors import (
     InvalidArgumentError,
     ModelDomainError,
 )
-from photonstat import sources
-from photonstat.sources import (
-    FieldTrace,
-    SourceSpec,
-    estimate_bandwidth_hz,
-    make_trace,
-    nominal_coherence_time,
-)
+from photonstat import tpa
+from photonstat.sources import FieldTrace, SourceSpec, make_trace, nominal_coherence_time
 from photonstat.tpa import (
     AbsorberSpec,
     lineshape,
@@ -160,25 +154,17 @@ def test_narrowband_absorber_rejected():
     assert tpa_rate_timedomain(trace, narrow, force=True) > 0
 
 
-def test_second_absorber_reuses_the_trace_bandwidth(monkeypatch):
-    # The broadband check's periodogram runs once per trace, not per call.
-    calls = []
-    periodogram = sources._periodogram_fwhm_hz
+def test_forced_rate_skips_the_bandwidth_estimate(monkeypatch):
+    # force=True overrides the broadband check, so its periodogram never runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_bandwidth_hz called")
 
-    def counting(samples, dt, n_segments):
-        calls.append(n_segments)
-        return periodogram(samples, dt, n_segments)
-
-    monkeypatch.setattr(sources, "_periodogram_fwhm_hz", counting)
+    monkeypatch.setattr(tpa, "estimate_bandwidth_hz", refuse)
     trace = thermal_trace(n_tauc=2_000, seed=8)
     narrow = AbsorberSpec(OMEGA_F, 1e13, 1.0, 0.5, "narrow")
-    assert tpa_rate_timedomain(trace, absorber()) > 0
-    with pytest.raises(ModelDomainError):
+    assert tpa_rate_timedomain(trace, narrow, force=True) > 0
+    with pytest.raises(AssertionError):
         tpa_rate_timedomain(trace, narrow)
-    assert calls == [64]
-    assert estimate_bandwidth_hz(trace) == periodogram(trace.samples, trace.dt, 64)
-    estimate_bandwidth_hz(trace, n_segments=32)
-    assert calls == [64, 32]
 
 
 def test_rate_ratio_propagation():
