@@ -74,11 +74,7 @@ from .sources import (
     SourceSpec,
     coherence_time,
     estimate_bandwidth_hz,
-    make_coherent_trace,
-    make_pseudothermal_trace,
-    make_thermal_trace,
     make_trace,
-    make_tunable_trace,
     nominal_coherence_time,
     nominal_g2,
     trace_grid,
@@ -143,11 +139,7 @@ __all__ = [
     "hbt_scan",
     "load_config",
     "lineshape",
-    "make_coherent_trace",
-    "make_pseudothermal_trace",
-    "make_thermal_trace",
     "make_trace",
-    "make_tunable_trace",
     "mollow_rate",
     "mpa_rate_timedomain",
     "nominal_coherence_time",

@@ -250,6 +250,14 @@ def cmd_g2(cfg: RunConfig, args: argparse.Namespace) -> None:
     n_delays = args.n_delays if args.n_delays is not None else int(params["n_delays"])
     if n_delays < 2:
         raise ConfigError("n_delays must be >= 2")
+    # Checked before the grid is built: the grid below then has at most
+    # n_samples / 2 + 1 delays whatever n_delays asks for.
+    half = trace.n_samples // 2 * trace.dt
+    if not 0 < max_delay < half:
+        raise ConfigError(
+            f"max_delay must be positive and below half the trace duration "
+            f"({half:.6g} s), got {max_delay!r}"
+        )
     step = max_delay / (n_delays - 1)
     if step < trace.dt:
         # Collapse to the sample grid rather than failing on duplicates.
@@ -405,8 +413,8 @@ def _panel_svg(cfg: RunConfig, fluor_name: str, panel: Fig2Panel) -> str:
         series.append(
             {
                 "label": key,
-                "x": sweep.powers(),
-                "y": sweep.counts(),
+                "x": sweep.power,
+                "y": sweep.count,
                 "marker": markers[k % 2],
             }
         )

@@ -23,11 +23,7 @@ import yaml
 
 from .errors import ConfigError
 from .instruments import DetectionChain
-from .presets import (
-    ABSORBER_PRESETS,
-    CHAIN_PRESETS,
-    SOURCE_PRESETS,
-)
+from .presets import ABSORBER_PRESETS, CHAIN_PRESETS, SOURCE_PRESETS, _resolve
 from .sources import SourceSpec
 from .tpa import AbsorberSpec
 
@@ -212,42 +208,15 @@ class RunConfig:
         return config_hash(effective)
 
 
-def _resolve(data: dict, section: str, name: str, presets: dict, build, kind: str):
-    """Build a named entry: its config section merged over the preset base."""
-    configured = data.get(section, {})
-    entry = configured.get(name)
-    if entry is None and name not in presets:
-        raise ConfigError(
-            f"unknown {kind} {name!r}; known presets: {sorted(presets)}, "
-            f"config-defined: {sorted(configured)}"
-        )
-    if entry is not None and not isinstance(entry, dict):
-        raise ConfigError(f"{kind} entry {name!r} must be a mapping")
-    entry = dict(entry or {})
-    # A "preset" key bases a new name on an existing preset; otherwise a
-    # same-name preset (if any) is the base and the entry overrides it.
-    base_name = entry.pop("preset", name)
-    if base_name != name and base_name not in presets:
-        raise ConfigError(
-            f"{kind} entry {name!r} refers to unknown preset {base_name!r}; "
-            f"known presets: {sorted(presets)}"
-        )
-    params = {**presets.get(base_name, {}), **entry}
-    if build is not DetectionChain:  # the specs carry their name as label
-        params.setdefault("label", name)
-    try:
-        return build(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad {kind} definition {name!r}: {exc}") from exc
-
-
 def resolve_source(data: dict, name: str) -> SourceSpec:
-    return _resolve(data, "sources", name, SOURCE_PRESETS, SourceSpec, "source")
+    return _resolve(SOURCE_PRESETS, SourceSpec, "source", name, data.get("sources", {}))
 
 
 def resolve_absorber(data: dict, name: str) -> AbsorberSpec:
-    return _resolve(data, "absorbers", name, ABSORBER_PRESETS, AbsorberSpec, "absorber")
+    return _resolve(
+        ABSORBER_PRESETS, AbsorberSpec, "absorber", name, data.get("absorbers", {})
+    )
 
 
 def resolve_chain(data: dict, name: str) -> DetectionChain:
-    return _resolve(data, "chains", name, CHAIN_PRESETS, DetectionChain, "chain")
+    return _resolve(CHAIN_PRESETS, DetectionChain, "chain", name, data.get("chains", {}))

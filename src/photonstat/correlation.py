@@ -148,6 +148,25 @@ def _intensity(trace: FieldTrace) -> np.ndarray:
     return trace.intensity()
 
 
+def _sample_lags(delays, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(delays as a 1-D float array, their signed nearest-sample lags).
+
+    Refuses empty or non-finite delays and any |delay| that rounds to half
+    the n-sample trace or more. That bound is compared before dividing, so
+    a huge delay cannot overflow the lag cast.
+    """
+    delays = np.atleast_1d(np.asarray(delays, dtype=float))
+    if delays.size == 0:
+        raise InvalidArgumentError("delays must be non-empty")
+    if not np.all(np.isfinite(delays)):
+        raise InvalidArgumentError("delays must be finite")
+    top = np.abs(delays).max()
+    if top >= (n // 2) * dt or round(top / dt) >= n // 2:
+        raise InvalidArgumentError("largest delay exceeds half the trace duration")
+    lags = np.round(np.abs(delays) / dt).astype(int) * np.sign(delays).astype(int)
+    return delays, lags
+
+
 def g2_tau(
     trace: FieldTrace,
     delays,
@@ -166,16 +185,7 @@ def g2_tau(
     """
     intensity = _intensity(trace)
     n = intensity.size
-    delays = np.atleast_1d(np.asarray(delays, dtype=float))
-    if delays.size == 0:
-        raise InvalidArgumentError("delays must be non-empty")
-    if not np.all(np.isfinite(delays)):
-        raise InvalidArgumentError("delays must be finite")
-    lags = np.round(np.abs(delays) / trace.dt).astype(int) * np.sign(delays).astype(int)
-    if np.abs(lags).max() >= n // 2:
-        raise InvalidArgumentError(
-            "largest delay exceeds half the trace duration"
-        )
+    delays, lags = _sample_lags(delays, trace.dt, n)
     rounded = lags * trace.dt
     if rounded.size > 1 and np.any(np.diff(rounded) <= 0):
         raise InvalidArgumentError(

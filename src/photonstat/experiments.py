@@ -15,7 +15,7 @@ switch off with noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,12 +62,6 @@ class SweepResult:
     count: np.ndarray
     repeat: np.ndarray
     g2_value: float = float("nan")
-
-    def powers(self) -> np.ndarray:
-        return self.power
-
-    def counts(self) -> np.ndarray:
-        return self.count
 
 
 @dataclass
@@ -136,7 +130,7 @@ def calibrate_dipole(
         * chain.overall_efficiency
         * chain.integration_time
     )
-    return absorber.with_dipole_sq(target_counts / per_dipole)
+    return replace(absorber, dipole_sq=target_counts / per_dipole)
 
 
 def power_sweep(
@@ -208,8 +202,8 @@ def fit_quadratic(sweep: SweepResult) -> FitResult:
     exponent b of a x^b is fitted alongside whenever at least 5 distinct
     powers span half a decade, as a power-law sanity check.
     """
-    x = sweep.powers()
-    y = sweep.counts()
+    x = sweep.power
+    y = sweep.count
     if not np.all(np.abs(y) < _MAX_FIT_COUNT):
         raise EstimationError(
             f"counts up to {np.max(np.abs(y)):g} are too large to fit: their "
@@ -424,7 +418,7 @@ def reproduce_fig2(
     for i, absorber in enumerate(absorbers):
         base = calibrate_dipole(absorber, chain, calibration_target, calibration_power)
         for j, source in enumerate(sources):
-            scaled = base.with_dipole_sq(base.dipole_sq * factors[i, j])
+            scaled = replace(base, dipole_sq=base.dipole_sq * factors[i, j])
             jobs.append((i, j, source, scaled))
 
     def _run(job):

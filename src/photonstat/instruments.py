@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationEstimate, _repr_rows, _write_csv
+from .correlation import CorrelationEstimate, _repr_rows, _sample_lags, _write_csv
 from .errors import (
     DegenerateInputError,
     InvalidArgumentError,
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionChain:
     """Efficiencies and timing of one photon-counting detection path.
 
@@ -174,17 +174,9 @@ def hbt_scan(
     """
     e = trace.samples
     n = e.size
-    delays = np.atleast_1d(np.asarray(delays, dtype=float))
-    if delays.size == 0:
-        raise InvalidArgumentError("delays must be non-empty")
-    if not np.all(np.isfinite(delays)):
-        raise InvalidArgumentError("delays must be finite")
+    delays, lags = _sample_lags(delays, trace.dt, n)
     if np.any(delays < 0):
         raise InvalidArgumentError("delays must be >= 0")
-    lags = np.round(delays / trace.dt)
-    if lags.max() >= n // 2:
-        raise InvalidArgumentError("largest delay exceeds half the trace duration")
-    lags = lags.astype(int)
     squares, cross, mixed, quad = _interferogram_lag_sums(e, int(lags.max()))
     phasor = np.exp(-1j * trace.carrier_freq * delays)
     counts = 16.0 * (n - lags)

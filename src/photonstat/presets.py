@@ -109,23 +109,45 @@ CHAIN_PRESETS = {
 }
 
 
-def _preset(presets: dict, build, kind: str, name: str, overrides: dict):
-    """build(**params) from a named preset, with field overrides."""
-    if name not in presets:
-        raise ConfigError(f"unknown {kind} preset {name!r}; known: {sorted(presets)}")
-    return build(**{**presets[name], **overrides})
+def _resolve(presets: dict, build, kind: str, name: str, configured: dict, overrides=None):
+    """Build a named entry: its configured mapping and then the overrides,
+    merged over the preset base."""
+    entry = configured.get(name)
+    if entry is None and name not in presets:
+        raise ConfigError(
+            f"unknown {kind} {name!r}; known presets: {sorted(presets)}, "
+            f"config-defined: {sorted(configured)}"
+        )
+    if entry is not None and not isinstance(entry, dict):
+        raise ConfigError(f"{kind} entry {name!r} must be a mapping")
+    entry = {**(entry or {}), **(overrides or {})}
+    # A "preset" key bases a new name on an existing preset; otherwise a
+    # same-name preset (if any) is the base and the entry overrides it.
+    base_name = entry.pop("preset", name)
+    if base_name != name and base_name not in presets:
+        raise ConfigError(
+            f"{kind} entry {name!r} refers to unknown preset {base_name!r}; "
+            f"known presets: {sorted(presets)}"
+        )
+    params = {**presets.get(base_name, {}), **entry}
+    if build is not DetectionChain:  # the specs carry their name as label
+        params.setdefault("label", name)
+    try:
+        return build(**params)
+    except TypeError as exc:
+        raise ConfigError(f"bad {kind} definition {name!r}: {exc}") from exc
 
 
 def source_preset(name: str, **overrides) -> SourceSpec:
     """Build a SourceSpec from a named preset, with field overrides."""
-    return _preset(SOURCE_PRESETS, SourceSpec, "source", name, overrides)
+    return _resolve(SOURCE_PRESETS, SourceSpec, "source", name, {}, overrides)
 
 
 def absorber_preset(name: str, **overrides) -> AbsorberSpec:
     """Build an AbsorberSpec from a named preset, with field overrides."""
-    return _preset(ABSORBER_PRESETS, AbsorberSpec, "absorber", name, overrides)
+    return _resolve(ABSORBER_PRESETS, AbsorberSpec, "absorber", name, {}, overrides)
 
 
 def chain_preset(name: str, **overrides) -> DetectionChain:
     """Build a DetectionChain from a named preset, with field overrides."""
-    return _preset(CHAIN_PRESETS, DetectionChain, "chain", name, overrides)
+    return _resolve(CHAIN_PRESETS, DetectionChain, "chain", name, {}, overrides)

@@ -14,7 +14,8 @@ supported:
 * ``tunable``: segment-wise mixture of the coherent and thermal generators
   (or of thermal and dark segments) tuned to a target second-order moment.
 
-Every generator is a pure function of (spec, duration, dt, seed).
+make_trace builds every class and is a pure function of
+(spec, duration, dt, seed).
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ from .seeding import derive_seed, rng_for
 __all__ = [
     "FieldTrace",
     "SourceSpec",
-    "make_thermal_trace",
-    "make_coherent_trace",
-    "make_pseudothermal_trace",
-    "make_tunable_trace",
     "make_trace",
     "coherence_time",
     "nominal_coherence_time",
@@ -165,7 +162,7 @@ class FieldTrace:
         return max(ten_tau, self.n_samples // 200, 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceSpec:
     """Parametric description of a light source.
 
@@ -269,29 +266,6 @@ def trace_grid(
     return tau_c, over * tau_c, tau_c / per
 
 
-def _check_grid(spec: SourceSpec, duration: float, dt: float) -> int:
-    """Validate (duration, dt) against the spectrum; return sample count."""
-    if dt <= 0 or duration <= 0:
-        raise InvalidArgumentError("duration and dt must be positive")
-    dnu = spec.bandwidth_hz
-    if dt > 1.0 / (10.0 * dnu):
-        raise SamplingError(
-            f"dt = {dt:.3e} s too coarse for bandwidth {dnu:.3e} Hz; "
-            f"need dt <= {1.0 / (10.0 * dnu):.3e} s"
-        )
-    n = int(round(duration / dt))
-    if n < 2:
-        raise InvalidArgumentError("duration/dt must give at least 2 samples")
-    tau_c = nominal_coherence_time(spec.spectral_shape, dnu)
-    if duration < 100.0 * tau_c:
-        warnings.warn(
-            f"duration {duration:.3e} s is below 100 coherence times "
-            f"({100.0 * tau_c:.3e} s); estimates will be noisy",
-            stacklevel=3,
-        )
-    return n
-
-
 def _renormalize(envelope: np.ndarray, mean_power: float) -> np.ndarray:
     """Scale the envelope so the realized time-averaged power is exact."""
     p = np.mean(np.abs(envelope) ** 2)
@@ -300,92 +274,26 @@ def _renormalize(envelope: np.ndarray, mean_power: float) -> np.ndarray:
     return envelope * np.sqrt(mean_power / p)
 
 
-def make_thermal_trace(
-    spec: SourceSpec, duration: float, dt: float, seed: int
-) -> FieldTrace:
-    """Synthesize a circular-complex-Gaussian (chaotic) field realization.
-
-    White complex Gaussian noise is shaped in the frequency domain by the
-    square root of the requested power spectral density and transformed
-    back. The result is exactly Gaussian at every sample count, so the
-    intensity moments carry no mode-count bias. The realized time-averaged
-    power is normalized to spec.mean_power.
-
-    Parameters
-    ----------
-    spec : SourceSpec
-        Must have statistics "thermal-gaussian".
-    duration, dt : float
-        Trace length and sample interval in seconds. dt must resolve the
-        bandwidth (dt <= 1/(10 dnu)); durations under 100 coherence times
-        trigger a warning.
-    seed : int
-        Master seed for this realization.
-    """
-    if spec.statistics != "thermal-gaussian":
-        raise InvalidArgumentError(
-            f"make_thermal_trace needs thermal-gaussian statistics, "
-            f"got {spec.statistics!r}"
-        )
-    n = _check_grid(spec, duration, dt)
+def _thermal(spec: SourceSpec, n: int, dt: float, seed: int) -> np.ndarray:
     rng = rng_for(seed)
     z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
     freqs = np.fft.fftfreq(n, dt)
     shaped = z * np.sqrt(_spectral_density(freqs, spec.spectral_shape, spec.bandwidth_hz))
-    envelope = np.fft.ifft(shaped)
-    samples = _renormalize(envelope, spec.mean_power)
-    return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed), copy=False)
+    return _renormalize(np.fft.ifft(shaped), spec.mean_power)
 
 
-def make_coherent_trace(
-    spec: SourceSpec, duration: float, dt: float, seed: int
-) -> FieldTrace:
-    """Synthesize a coherent field: constant amplitude, optional weak noise.
-
-    With spec.amplitude_noise = 0 the envelope is exactly constant, so all
-    normalized intensity moments equal 1 to machine precision. A positive
-    epsilon adds independent Gaussian relative amplitude fluctuations,
-    E = sqrt(P) (1 + eps xi(t)) exp(i phi0), giving
-    g2(0) = (1 + 6 eps^2 + 3 eps^4) / (1 + eps^2)^2.
-    """
-    if spec.statistics != "coherent":
-        raise InvalidArgumentError(
-            f"make_coherent_trace needs coherent statistics, got {spec.statistics!r}"
-        )
-    if dt <= 0 or duration <= 0:
-        raise InvalidArgumentError("duration and dt must be positive")
-    n = int(round(duration / dt))
-    if n < 2:
-        raise InvalidArgumentError("duration/dt must give at least 2 samples")
+def _coherent(spec: SourceSpec, n: int, dt: float, seed: int) -> np.ndarray:
     rng = rng_for(seed)
     phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     eps = spec.amplitude_noise
     if eps == 0.0:
-        samples = np.full(n, np.sqrt(spec.mean_power) * phase)
-    else:
-        amp = 1.0 + eps * rng.standard_normal(n)
-        samples = _renormalize(amp.astype(np.complex128) * phase, spec.mean_power)
-    return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed), copy=False)
+        return np.full(n, np.sqrt(spec.mean_power) * phase)
+    amp = 1.0 + eps * rng.standard_normal(n)
+    return _renormalize(amp.astype(np.complex128) * phase, spec.mean_power)
 
 
-def make_pseudothermal_trace(
-    spec: SourceSpec, duration: float, dt: float, seed: int
-) -> FieldTrace:
-    """Synthesize pseudo-thermal light as M fixed-amplitude random modes.
-
-    Each mode has the same amplitude, an independent uniform phase, and a
-    frequency drawn from the spectral shape. The expected zero-delay
-    second-order coherence is 2 - 1/M; M = 1 is a single mode with g2 = 1.
-    """
-    if spec.statistics != "pseudo-thermal":
-        raise InvalidArgumentError(
-            f"make_pseudothermal_trace needs pseudo-thermal statistics, "
-            f"got {spec.statistics!r}"
-        )
+def _pseudothermal(spec: SourceSpec, n: int, dt: float, seed: int) -> np.ndarray:
     m = spec.mode_count
-    if m < 1:
-        raise InvalidArgumentError("mode count must be >= 1")
-    n = _check_grid(spec, duration, dt)
     rng = rng_for(seed)
     dnu = spec.bandwidth_hz
     if spec.spectral_shape == "gaussian":
@@ -411,42 +319,16 @@ def make_pseudothermal_trace(
     )
     inblock_phasors = np.exp(2j * np.pi * np.outer(nu, np.arange(block) * dt))
     envelope = (block_phasors @ inblock_phasors).ravel()[:n]
-    samples = _renormalize(envelope, spec.mean_power)
-    return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed), copy=False)
+    return _renormalize(envelope, spec.mean_power)
 
 
-def make_tunable_trace(
-    spec: SourceSpec, duration: float, dt: float, seed: int
-) -> FieldTrace:
-    """Synthesize a field whose expected g2(0) equals spec.target_g2.
-
-    For 1 <= target_g2 <= 2 the trace is a segment-wise statistical mixture:
-    each segment (about 16 coherence times long) is thermal with probability
-    p = target_g2 - 1 and coherent with a fresh random phase otherwise. Both
-    segment types carry the same mean power, so
-    <I^2>/<I>^2 = p*2 + (1-p)*1 = target_g2 and no intensity correlation
-    survives beyond the coherence time. For target_g2 > 2 thermal segments
-    are gated on with duty cycle q = 2/target_g2 and scaled by 1/sqrt(q),
-    giving <I^2>/<I>^2 = 2/q. The segments take spec's spectrum, power and
-    carrier.
-    """
-    if spec.statistics != "tunable":
-        raise InvalidArgumentError(
-            f"make_tunable_trace needs tunable statistics, got {spec.statistics!r}"
-        )
+def _tunable(spec: SourceSpec, n: int, dt: float, seed: int) -> np.ndarray:
     target_g2 = spec.target_g2
-    if target_g2 < 1.0:
-        raise InvalidArgumentError(
-            "target_g2 < 1 is not reachable by a classical intensity mixture"
-        )
     if target_g2 == 1.0:
-        coherent_spec = replace(spec, statistics="coherent", amplitude_noise=0.0)
-        return make_coherent_trace(coherent_spec, duration, dt, seed)
-    thermal_spec = replace(spec, statistics="thermal-gaussian")
-    base = make_thermal_trace(thermal_spec, duration, dt, seed)
+        return _coherent(replace(spec, amplitude_noise=0.0), n, dt, seed)
+    base = _thermal(spec, n, dt, seed)
     if target_g2 == 2.0:
         return base
-    n = base.n_samples
     tau_c = nominal_coherence_time(spec.spectral_shape, spec.bandwidth_hz)
     seg = max(2, int(round(16.0 * tau_c / dt)))
     n_seg = (n + seg - 1) // seg
@@ -456,26 +338,78 @@ def make_tunable_trace(
         thermal_mask = np.repeat(rng.random(n_seg) < p, seg)[:n]
         seg_phase = np.repeat(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_seg)), seg)[:n]
         coherent_level = np.sqrt(spec.mean_power) * seg_phase
-        envelope = np.where(thermal_mask, base.samples, coherent_level)
+        envelope = np.where(thermal_mask, base, coherent_level)
     else:
         q = 2.0 / target_g2
         on_mask = np.repeat(rng.random(n_seg) < q, seg)[:n]
-        envelope = np.where(on_mask, base.samples / np.sqrt(q), 0.0)
-    samples = _renormalize(envelope, spec.mean_power)
-    return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed), copy=False)
+        envelope = np.where(on_mask, base / np.sqrt(q), 0.0)
+    return _renormalize(envelope, spec.mean_power)
+
+
+_BUILDERS = {
+    "thermal-gaussian": _thermal,
+    "coherent": _coherent,
+    "pseudo-thermal": _pseudothermal,
+    "tunable": _tunable,
+}
 
 
 def make_trace(spec: SourceSpec, duration: float, dt: float, seed: int) -> FieldTrace:
-    """Dispatch to the generator matching spec.statistics."""
-    if spec.statistics == "thermal-gaussian":
-        return make_thermal_trace(spec, duration, dt, seed)
-    if spec.statistics == "coherent":
-        return make_coherent_trace(spec, duration, dt, seed)
-    if spec.statistics == "pseudo-thermal":
-        return make_pseudothermal_trace(spec, duration, dt, seed)
-    if spec.statistics == "tunable":
-        return make_tunable_trace(spec, duration, dt, seed)
-    raise InvalidArgumentError(f"unknown statistics class {spec.statistics!r}")
+    """Synthesize one field realization of spec's statistics class.
+
+    Every class takes spec's spectrum and carrier, and its realized
+    time-averaged power is normalized to spec.mean_power:
+
+    * thermal-gaussian: white complex Gaussian noise shaped in the
+      frequency domain by the square root of the power spectral density.
+      The result is exactly Gaussian at every sample count, so the
+      intensity moments carry no mode-count bias.
+    * coherent: E = sqrt(P) (1 + eps xi(t)) exp(i phi0) with independent
+      Gaussian xi and eps = spec.amplitude_noise, so
+      g2(0) = (1 + 6 eps^2 + 3 eps^4) / (1 + eps^2)^2. At eps = 0 the
+      envelope is exactly constant and every normalized moment is 1.
+    * pseudo-thermal: M = spec.mode_count equal-amplitude modes with
+      independent uniform phases and frequencies drawn from the spectral
+      shape, so g2(0) = 2 - 1/M.
+    * tunable: expected g2(0) = spec.target_g2. At 1 it is the coherent
+      field with eps = 0, at 2 the thermal one. Between them each segment
+      of about 16 coherence times is thermal with probability
+      p = target_g2 - 1 and coherent with a fresh random phase otherwise,
+      both at the same mean power, so <I^2>/<I>^2 = 2p + (1 - p). Above 2
+      thermal segments are gated on with duty cycle q = 2/target_g2 and
+      scaled by 1/sqrt(q), giving 2/q. No intensity correlation survives
+      beyond the coherence time.
+
+    duration and dt are in seconds and must give at least 2 samples. Every
+    class but the constant-envelope ones (coherent, tunable at 1) must
+    resolve the bandwidth: dt > 1/(10 dnu) raises SamplingError, and a
+    duration under 100 nominal coherence times warns. A pure function of
+    (spec, duration, dt, seed).
+    """
+    build = _BUILDERS.get(spec.statistics)
+    if build is None:
+        raise InvalidArgumentError(f"unknown statistics class {spec.statistics!r}")
+    if not (0 < duration < math.inf and 0 < dt < math.inf):
+        raise InvalidArgumentError("duration and dt must be positive and finite")
+    spectral = build is not _coherent and not (build is _tunable and spec.target_g2 == 1.0)
+    dnu = spec.bandwidth_hz
+    if spectral and dt > 1.0 / (10.0 * dnu):
+        raise SamplingError(
+            f"dt = {dt:.3e} s too coarse for bandwidth {dnu:.3e} Hz; "
+            f"need dt <= {1.0 / (10.0 * dnu):.3e} s"
+        )
+    n = int(round(duration / dt))
+    if n < 2:
+        raise InvalidArgumentError("duration/dt must give at least 2 samples")
+    tau_c = nominal_coherence_time(spec.spectral_shape, dnu)
+    if spectral and duration < 100.0 * tau_c:
+        warnings.warn(
+            f"duration {duration:.3e} s is below 100 coherence times "
+            f"({100.0 * tau_c:.3e} s); estimates will be noisy",
+            stacklevel=2,
+        )
+    samples = build(spec, n, dt, seed)
+    return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed), copy=False)
 
 
 def _fft_len(m: int) -> int:

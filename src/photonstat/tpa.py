@@ -39,7 +39,7 @@ __all__ = [
 BROADBAND_MIN_RATIO = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class AbsorberSpec:
     """Two-photon transition parameters of one absorber.
 
@@ -65,11 +65,6 @@ class AbsorberSpec:
             raise InvalidArgumentError("dipole_sq must be positive and finite")
         if not 0 < self.quantum_yield <= 1:
             raise InvalidArgumentError("quantum_yield must be in (0, 1]")
-
-    def with_dipole_sq(self, dipole_sq: float) -> "AbsorberSpec":
-        return AbsorberSpec(
-            self.omega_f, self.delta_omega_f, dipole_sq, self.quantum_yield, self.label
-        )
 
 
 @dataclass

@@ -290,6 +290,24 @@ def run_cli_error(capsys, args):
     return code, capsys.readouterr().err.splitlines()
 
 
+def test_cli_g2_refuses_max_delay_beyond_half_the_trace(tmp_path, capsys):
+    # Refused before the delay grid is built: 1e12 delays would need TiB.
+    out = tmp_path / "o"
+    assert run_cli(["simulate", "--out", out, "--seed", 7]) == 0
+    capsys.readouterr()
+    trace = out / "trace_sld.pstt"
+    for extra in (
+        ["--max-delay", "1e300", "--n-delays", "3"],
+        ["--max-delay", "100", "--n-delays", "1000000000000"],
+        ["--max-delay=-1e-12"],
+    ):
+        code, err = run_cli_error(capsys, ["g2", "--trace", trace, "--out", out, *extra])
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith("error [config-error]:")
+        assert "half the trace duration" in err[0]
+
+
 def test_cli_sweep_beyond_poisson_limit_is_config_error(tmp_path, capsys):
     # 1 MW gives expected counts near 1e22, past numpy's Poisson limit.
     cfg = tmp_path / "huge.yaml"

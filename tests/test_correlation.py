@@ -1,6 +1,7 @@
 """Correlation estimators: symmetry, convergence, bootstrap calibration,
 photon-count histograms."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -63,6 +64,22 @@ def test_g2_delay_bounds():
     trace = thermal_trace(n_tauc=100, per_tauc=8, seed=3)
     with pytest.raises(InvalidArgumentError):
         g2_tau(trace, [60 * TAU_C])
+    # The bound is on the rounded lag: n // 2 - 1 samples is the largest.
+    half, dt = trace.n_samples // 2, trace.dt
+    assert g2_tau(trace, [0.0, (half - 1) * dt]).delays[-1] == (half - 1) * dt
+    with pytest.raises(InvalidArgumentError, match="half the trace"):
+        g2_tau(trace, [0.0, (half - 0.4) * dt])
+
+
+def test_g2_refuses_huge_delay_before_the_lag_cast():
+    # A delay whose lag overflows int64 raises the bound's error, with no
+    # RuntimeWarning from the division or the cast on the way.
+    trace = thermal_trace(n_tauc=100, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bad in ([0.0, 1e300], [-1e300, 0.0]):
+            with pytest.raises(InvalidArgumentError, match="half the trace"):
+                g2_tau(trace, bad)
 
 
 def test_g2_rejects_non_finite_delay():

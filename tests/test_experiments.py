@@ -78,7 +78,7 @@ def curve_fit_exponent(sweep):
     default tolerances it stops up to ~1e-3 SE short of the minimum on
     some sweeps.
     """
-    x, y = sweep.powers(), sweep.counts()
+    x, y = sweep.power, sweep.count
     u = x / np.exp(np.mean(np.log(x)))
     popt, pcov = curve_fit(
         lambda uu, a_u, b: a_u * uu**b,
@@ -218,7 +218,7 @@ def test_sweep_refuses_counts_beyond_poisson_limit():
     with pytest.raises(InvalidArgumentError, match="Poisson"):
         power_sweep(source_preset("sld"), absorber, chain, powers, 2, 1)
     sweep = power_sweep(source_preset("sld"), absorber, chain, powers, 2, 1, noise=False)
-    assert sweep.counts()[-1] > 1e19
+    assert sweep.count[-1] > 1e19
 
 
 def test_sweep_noise_off_records_equal_per_power_expectations():
@@ -247,7 +247,7 @@ def test_sweep_counts_match_poisson_moments():
     n = 20_000
     sweep = power_sweep(source_preset("dfb"), absorber, chain, [300e-6], n, 21)
     lam = fluorescence_counts(300e-6, 1.0, absorber, chain, 0, noise=False)
-    counts = sweep.counts()
+    counts = sweep.count
     assert all(type(c) is int for _, c, _ in sweep_rows(sweep))
     mean_se = np.sqrt(lam / n)
     var_se = np.sqrt((lam + 2.0 * lam**2) / n)
@@ -260,8 +260,8 @@ def test_sweep_seeds_give_different_counts():
     chain = chain_preset("paper-EMCCD")
     a = power_sweep(source_preset("sld"), absorber, chain, POWERS, 4, 31)
     b = power_sweep(source_preset("sld"), absorber, chain, POWERS, 4, 32)
-    assert a.powers().tolist() == b.powers().tolist()
-    assert not np.array_equal(a.counts(), b.counts())
+    assert a.power.tolist() == b.power.tolist()
+    assert not np.array_equal(a.count, b.count)
 
 
 def test_dark_counts_add_constant_offset():
@@ -382,12 +382,12 @@ def test_report_requires_two_distinct_sources():
 def test_preset_lookup_unknown_name():
     from photonstat.errors import ConfigError
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"known presets: \['dfb', 'sld', 'sld-residual'\]"):
         source_preset("nosuch")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="known presets: .*'DCM'"):
         absorber_preset("nosuch")
-    with pytest.raises(ConfigError):
-        chain_preset("nosuch")
+    with pytest.raises(ConfigError, match=r"known presets: \['paper-EMCCD'\]"):
+        chain_preset("nosuch", dark_rate=1.0)
 
 
 def test_chain_preset_overall_efficiency():

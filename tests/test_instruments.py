@@ -257,6 +257,14 @@ def test_scan_rejects_negative_delay():
         hbt_scan(trace, [-TAU_C, 0.0])
 
 
+def test_scan_refuses_huge_delay_before_the_lag_cast():
+    trace = thermal_trace(n_tauc=500, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidArgumentError, match="half the trace"):
+            hbt_scan(trace, [0.0, 1e300])
+
+
 def synthetic_scan(g_zero, n=200, tail_start=100):
     # Filtered signal built directly from the stationary-field relation:
     # S(tau) proportional to 2 g(0) + 4 g(tau), normalized mean power 1.

@@ -1,5 +1,6 @@
 """Field synthesis: statistics targets, coherence times, grid validation."""
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,6 +14,7 @@ from photonstat.errors import (
     InvalidArgumentError,
     SamplingError,
 )
+from photonstat.presets import absorber_preset, chain_preset, source_preset
 from photonstat.seeding import rng_for
 from photonstat.sources import (
     G1_DECAY_THRESHOLD,
@@ -23,11 +25,7 @@ from photonstat.sources import (
     _lag_sums,
     coherence_time,
     estimate_bandwidth_hz,
-    make_coherent_trace,
-    make_pseudothermal_trace,
-    make_thermal_trace,
     make_trace,
-    make_tunable_trace,
     nominal_coherence_time,
     nominal_g2,
     trace_grid,
@@ -71,7 +69,7 @@ def test_coherent_zero_noise_is_constant_intensity():
         mean_power=1e-3,
         amplitude_noise=0.0,
     )
-    trace = make_coherent_trace(spec, 1e-6, 1e-10, 3)
+    trace = make_trace(spec, 1e-6, 1e-10, 3)
     intensity = trace.intensity()
     assert np.ptp(intensity) < 1e-12 * intensity.mean()
     for n in range(2, 7):
@@ -91,7 +89,7 @@ def test_coherent_amplitude_noise_g2():
         mean_power=1e-3,
         amplitude_noise=eps,
     )
-    trace = make_coherent_trace(spec, 2e-4, 1e-9, 4)  # 2e5 samples
+    trace = make_trace(spec, 2e-4, 1e-9, 4)  # 2e5 samples
     est = gn_zero(trace, 2)
     assert abs(est.values[0] - expected) < max(4 * est.std_errors[0], 0.002)
 
@@ -107,7 +105,7 @@ def test_pseudothermal_g2_target(modes):
     )
     tau_c = nominal_coherence_time("gaussian", BW)
     n_tauc = 5_000 if modes >= 16 else 20_000
-    trace = make_pseudothermal_trace(spec, n_tauc * tau_c, tau_c / 8, 7 + modes)
+    trace = make_trace(spec, n_tauc * tau_c, tau_c / 8, 7 + modes)
     est = gn_zero(trace, 2)
     target = 2.0 - 1.0 / modes
     assert abs(est.values[0] - target) < max(3 * est.std_errors[0], 0.02)
@@ -153,7 +151,7 @@ def test_pseudothermal_matches_mode_loop(modes, shape):
     tau_c = nominal_coherence_time(shape, BW)
     dt = tau_c / 8
     for n_tauc in (250, 2_501):
-        trace = make_pseudothermal_trace(spec, n_tauc * tau_c, dt, 17)
+        trace = make_trace(spec, n_tauc * tau_c, dt, 17)
         expected = pseudothermal_loop(spec, n_tauc * tau_c, dt, 17)
         # Both forms carry the round-off of phase arguments up to
         # 2 pi * 0.4 / dt * duration, relative eps each.
@@ -208,7 +206,7 @@ def tunable_spec(target, power=1e-3):
 @pytest.mark.parametrize("target", [1.0, 1.25, 1.5, 1.75, 2.0, 3.0])
 def test_tunable_g2_target(target):
     tau_c = nominal_coherence_time("gaussian", BW)
-    trace = make_tunable_trace(
+    trace = make_trace(
         tunable_spec(target), 30_000 * tau_c, tau_c / 8, int(10 * target)
     )
     est = gn_zero(trace, 2)
@@ -218,7 +216,7 @@ def test_tunable_g2_target(target):
 def test_tunable_mean_power_preserved():
     spec = tunable_spec(1.5, power=4e-3)
     tau_c = nominal_coherence_time("gaussian", BW)
-    trace = make_tunable_trace(spec, 2_000 * tau_c, tau_c / 8, 11)
+    trace = make_trace(spec, 2_000 * tau_c, tau_c / 8, 11)
     assert trace.mean_power() == pytest.approx(4e-3, rel=1e-12)
 
 
@@ -313,7 +311,7 @@ def test_coherence_time_needs_decay():
         spectral_shape="lorentzian",
         mean_power=1e-3,
     )
-    trace = make_coherent_trace(spec, 1e-6, 1e-10, 3)
+    trace = make_trace(spec, 1e-6, 1e-10, 3)
     with pytest.raises(EstimationError):
         coherence_time(trace)
 
@@ -321,14 +319,24 @@ def test_coherence_time_needs_decay():
 def test_grid_too_coarse_rejected():
     spec = thermal_spec()
     with pytest.raises(SamplingError):
-        make_thermal_trace(spec, 1e-9, 1.0 / BW, 1)
+        make_trace(spec, 1e-9, 1.0 / BW, 1)
+
+
+@pytest.mark.parametrize("statistics", ["thermal-gaussian", "coherent"])
+def test_make_trace_refuses_grid_values_not_positive_and_finite(statistics):
+    spec = SourceSpec(statistics=statistics, center_wavelength=976e-9, bandwidth_fwhm=BW)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            make_trace(spec, bad, 1e-14, 1)
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            make_trace(spec, 1e-9, bad, 1)
 
 
 def test_short_duration_warns():
     spec = thermal_spec()
     tau_c = nominal_coherence_time("gaussian", BW)
     with pytest.warns(UserWarning):
-        make_thermal_trace(spec, 50 * tau_c, tau_c / 8, 1)
+        make_trace(spec, 50 * tau_c, tau_c / 8, 1)
 
 
 def test_bandwidth_estimate_round_trip():
@@ -427,9 +435,19 @@ def test_spec_validation():
             target_g2=0.5,
         )
     below_one = tunable_spec(1.5)
-    below_one.target_g2 = 0.9  # a spec changed after its validation
-    with pytest.raises(InvalidArgumentError):
-        make_tunable_trace(below_one, 1e-9, 1e-14, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        below_one.target_g2 = 0.9  # a spec cannot change after its validation
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [source_preset("sld"), absorber_preset("DCM"), chain_preset("paper-EMCCD")],
+    ids=lambda spec: type(spec).__name__,
+)
+def test_specs_are_frozen(spec):
+    for f in dataclasses.fields(spec):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, f.name, getattr(spec, f.name))
 
 
 def test_make_trace_dispatch_unknown():
@@ -522,7 +540,7 @@ def test_coherence_time_outcome_is_cached():
         spectral_shape="lorentzian",
         mean_power=1e-3,
     )
-    flat = make_coherent_trace(spec, 1e-6, 1e-10, 3)
+    flat = make_trace(spec, 1e-6, 1e-10, 3)
     for _ in range(2):
         with pytest.raises(EstimationError):
             coherence_time(flat)
