@@ -33,23 +33,19 @@ from .correlation import _write_csv, g2_tau, gn_zero
 from .errors import (
     AcceptanceError,
     ConfigError,
-    DegenerateInputError,
-    DivisionDomainError,
     EstimationError,
     FormatError,
     InsufficientDataError,
     InvalidArgumentError,
-    ModelDomainError,
-    OutOfModelError,
     PhotonstatError,
     SamplingError,
 )
 from .experiments import (
     Fig2Panel,
+    Fig2Report,
     SweepResult,
     calibrate_dipole,
-    error_budget,
-    fig2_panel,
+    fig2_report,
     fit_quadratic,
     power_sweep,
     reproduce_fig2,
@@ -66,15 +62,6 @@ _SEED_SWEEP = 100
 _SEED_HBT = 300
 
 _CONFIG_ERRORS = (ConfigError, InvalidArgumentError, SamplingError)
-_DATA_ERRORS = (
-    FormatError,
-    DegenerateInputError,
-    InsufficientDataError,
-    EstimationError,
-    OutOfModelError,
-    ModelDomainError,
-    DivisionDomainError,
-)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -440,52 +427,45 @@ def _fit_payload(fit) -> dict:
     }
 
 
-def _panel_payload(
-    cfg: RunConfig, plots: Path, fluor_name: str, panel: Fig2Panel
-) -> dict:
-    """Write the panel's plot; return its report.json entry."""
-    with open(plots / f"{fluor_name}.svg", "w") as fh:
-        fh.write(_panel_svg(cfg, fluor_name, panel))
-    return {
-        "fluorophore": fluor_name,
-        "ratio": panel.ratio.value,
-        "ratio_stderr": panel.ratio.stderr,
-        "within_band": panel.within_band,
-        "fits": {key: _fit_payload(fit) for key, fit in panel.fits.items()},
-    }
-
-
-def _write_report(
-    cfg: RunConfig, out: Path, fit_rows: list, panels: list, all_within: bool
+def _write_fig2(
+    cfg: RunConfig, out: Path, names: list, report: Fig2Report, extras: list
 ) -> None:
-    """fits.csv and report.json, shared by reproduce-fig2 and report."""
-    exp = cfg.data["experiment"]
-    _write_fits_csv(out / "fits.csv", fit_rows, _meta_line(cfg))
-    budget = error_budget(
-        cfg.noise, float(exp["panel_scale_error"]), float(exp["arm_scale_error"])
-    )
+    """Plots, fits.csv and report.json of a Fig. 2 report.
+
+    names[i] names panel i's plot and report.json entry; extras[i] holds
+    further keys of that entry. A panel without a ratio gets no plot.
+    """
+    plots = out / "plots"
+    plots.mkdir(exist_ok=True)
+    columns = ["a", "a_stderr", "b", "b_stderr"]
+    table = []
+    entries = []
+    for name, panel, extra in zip(names, report.panels, extras):
+        fits = {key: _fit_payload(fit) for key, fit in panel.fits.items()}
+        for key, f in fits.items():
+            cells = ["" if f[c] is None else repr(float(f[c])) for c in columns]
+            table.append([f"{name}/{key}", *cells])
+        entry = {"fluorophore": name, "fits": fits, **extra}
+        if panel.ratio is not None:
+            with open(plots / f"{name}.svg", "w") as fh:
+                fh.write(_panel_svg(cfg, name, panel))
+            entry["ratio"] = panel.ratio.value
+            entry["ratio_stderr"] = panel.ratio.stderr
+            entry["within_band"] = panel.within_band
+        entries.append(entry)
+    _write_csv(out / "fits.csv", _meta_line(cfg), ["label", *columns], table)
     _write_json(
         out / "report.json",
         {
-            "panels": panels,
-            "all_within_band": all_within,
-            "ratio_band": list(exp["ratio_band"]),
+            "panels": entries,
+            "all_within_band": report.all_within_band,
+            "ratio_band": list(report.ratio_band),
             "noise": cfg.noise,
-            "error_budget": budget,
-            "statistics_mode": exp["statistics_mode"],
+            "error_budget": report.error_budget,
+            "statistics_mode": cfg.data["experiment"]["statistics_mode"],
             **_meta(cfg),
         },
     )
-
-
-def _write_fits_csv(path: Path, rows: list, metadata: str) -> None:
-    keys = ["a", "a_stderr", "b", "b_stderr"]
-    payloads = [(label, _fit_payload(fit)) for label, fit in rows]
-    table = [
-        [label] + ["" if p[k] is None else repr(float(p[k])) for k in keys]
-        for label, p in payloads
-    ]
-    _write_csv(path, metadata, ["label", *keys], table)
 
 
 def cmd_reproduce_fig2(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -509,25 +489,16 @@ def cmd_reproduce_fig2(cfg: RunConfig, args: argparse.Namespace) -> None:
         threads=cfg.threads,
     )
     out = _out_dir(cfg)
-    plots = out / "plots"
-    plots.mkdir(exist_ok=True)
     fluor_names = list(exp["fluorophores"])
-    fit_rows = []
-    panel_payload = []
+    extras = []
     for fluor_name, panel in zip(fluor_names, report.panels):
         for key, sweep in panel.sweeps.items():
             _write_sweep_csv(
                 out / f"{fluor_name}__{key}.csv", sweep, _meta_line(cfg)
             )
-            fit_rows.append((f"{fluor_name}/{key}", panel.fits[key]))
-        panel_payload.append(
-            {
-                **_panel_payload(cfg, plots, fluor_name, panel),
-                "label": panel.fluorophore,
-                "g2_values": {k: s.g2_value for k, s in panel.sweeps.items()},
-            }
-        )
-    _write_report(cfg, out, fit_rows, panel_payload, report.all_within_band)
+        g2_values = {key: sweep.g2_value for key, sweep in panel.sweeps.items()}
+        extras.append({"label": panel.fluorophore, "g2_values": g2_values})
+    _write_fig2(cfg, out, fluor_names, report, extras)
     for fluor_name, panel in zip(fluor_names, report.panels):
         flag = "ok" if panel.within_band else "OUT OF BAND"
         print(
@@ -556,40 +527,24 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     if not sweep_files:
         raise InsufficientDataError(f"no reproduce-fig2 sweep CSVs in {out}")
     panels: dict = {}
-    run_hash = cfg.hash
     for path in sweep_files:
-        sweep = _read_sweep_csv(path, run_hash)
+        sweep = _read_sweep_csv(path, cfg.hash)
         panels.setdefault(sweep.fluorophore_label, {})[sweep.source_label] = sweep
 
-    def _config_order(names, configured):
-        listed = [n for n in configured if n in names]
-        return listed + sorted(set(names) - set(listed))
+    def _config_order(found: dict, configured) -> dict:
+        listed = [name for name in configured if name in found]
+        return {k: found[k] for k in listed + sorted(set(found) - set(listed))}
 
-    plots = out / "plots"
-    plots.mkdir(exist_ok=True)
-    fit_rows = []
-    panel_payload = []
-    band = tuple(exp["ratio_band"])
-    all_within = True
-    for fluor_name in _config_order(panels, exp["fluorophores"]):
-        found = panels[fluor_name]
-        sweeps = {k: found[k] for k in _config_order(found, exp["sources"])}
-        fits = {key: fit_quadratic(sweep) for key, sweep in sweeps.items()}
-        fit_rows += [(f"{fluor_name}/{key}", fit) for key, fit in fits.items()]
-        if len(sweeps) != 2:
-            panel_payload.append(
-                {
-                    "fluorophore": fluor_name,
-                    "fits": {key: _fit_payload(fit) for key, fit in fits.items()},
-                }
-            )
-            continue
-        panel = fig2_panel(
-            fluor_name, sweeps, fits, cfg.noise, float(exp["arm_scale_error"]), band
-        )
-        all_within = all_within and panel.within_band
-        panel_payload.append(_panel_payload(cfg, plots, fluor_name, panel))
-    _write_report(cfg, out, fit_rows, panel_payload, all_within)
+    panels = _config_order(panels, exp["fluorophores"])
+    report = fig2_report(
+        [(n, _config_order(found, exp["sources"])) for n, found in panels.items()],
+        cfg.master_seed,
+        cfg.noise,
+        float(exp["panel_scale_error"]),
+        float(exp["arm_scale_error"]),
+        tuple(exp["ratio_band"]),
+    )
+    _write_fig2(cfg, out, list(panels), report, [{}] * len(panels))
     print(f"report rebuilt from {len(sweep_files)} sweep files -> {out / 'report.json'}")
 
 
@@ -614,16 +569,16 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"error [config-error]: {exc}", file=sys.stderr)
         return 2
-    except _DATA_ERRORS as exc:
-        print(f"error [data-error]: {exc}", file=sys.stderr)
-        return 3
     except AcceptanceError as exc:
         print(f"error [acceptance-failure]: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"error [io-error]: {exc}", file=sys.stderr)
         return 5
-    except PhotonstatError as exc:  # any future subclass
+    except MemoryError as exc:  # a configured grid beyond the machine's memory
+        print(f"error [config-error]: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except PhotonstatError as exc:  # every other package error
         print(f"error [data-error]: {exc}", file=sys.stderr)
         return 3
 

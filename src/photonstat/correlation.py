@@ -263,6 +263,10 @@ def gn_zero(
     )
 
 
+# Bin indices below this float (2^63) cast to int64 exactly.
+_MAX_BIN_INDEX = 2.0**63
+
+
 def g2_from_counts(
     timestamps, bin_width: float, max_delay: float
 ) -> CorrelationEstimate:
@@ -272,11 +276,16 @@ def g2_from_counts(
     histogram uses the factorial moment n(n-1) in the zero-delay bin and
     corrects finite-duration edge effects by the (T - tau) pair count.
     Standard errors are Poissonian in the per-bin coincidence counts.
+    bin_width and max_delay must be positive and finite, and max_delay and
+    the stream each span fewer than 2^63 bins (checked before any cast).
     """
-    if bin_width <= 0:
-        raise InvalidArgumentError("bin_width must be positive")
+    for name, value in (("bin_width", bin_width), ("max_delay", max_delay)):
+        if not 0 < value < np.inf:
+            raise InvalidArgumentError(f"{name} must be positive and finite: {value!r}")
     if max_delay < bin_width:
         raise InvalidArgumentError("max_delay must be at least one bin")
+    if not max_delay / bin_width < _MAX_BIN_INDEX:
+        raise InvalidArgumentError("max_delay / bin_width: over 2^63 bins")
     times = np.sort(np.asarray(timestamps, dtype=float))
     if times.size < 1000:
         raise InsufficientDataError(
@@ -290,6 +299,8 @@ def g2_from_counts(
             "more than 1 percent duplicated timestamps: the zero-delay bin "
             "diverges, input looks corrupted or artificially paired"
         )
+    if not (times[-1] - times[0]) / bin_width < _MAX_BIN_INDEX:
+        raise InvalidArgumentError("bin_width: the stream spans over 2^63 bins")
     rel = times - times[0]
     bin_idx = np.floor(rel / bin_width).astype(np.int64)
     n_bins = int(bin_idx[-1]) + 1

@@ -41,6 +41,7 @@ __all__ = [
     "fit_quadratic",
     "enhancement_ratio",
     "fig2_panel",
+    "fig2_report",
     "error_budget",
     "reproduce_fig2",
 ]
@@ -84,11 +85,14 @@ class FitResult:
 
 @dataclass
 class Fig2Panel:
+    """One Fig. 2 panel. ratio and within_band are None when it has not
+    exactly two sweeps, e.g. when `report` finds one sweep CSV missing."""
+
     fluorophore: str
     sweeps: dict
     fits: dict
-    ratio: RatioEstimate
-    within_band: bool
+    ratio: RatioEstimate | None
+    within_band: bool | None
 
 
 @dataclass
@@ -101,10 +105,10 @@ class Fig2Report:
 
     @property
     def all_within_band(self) -> bool:
-        return all(panel.within_band for panel in self.panels)
+        return all(p.within_band for p in self.panels if p.ratio is not None)
 
     def ratios(self) -> list:
-        return [panel.ratio.value for panel in self.panels]
+        return [None if p.ratio is None else p.ratio.value for p in self.panels]
 
 
 def calibrate_dipole(
@@ -315,17 +319,21 @@ def enhancement_ratio(fit_numer: FitResult, fit_denom: FitResult) -> RatioEstima
 def fig2_panel(
     fluorophore: str,
     sweeps: dict,
-    fits: dict,
     noise: bool,
     arm_scale_error: float,
     ratio_band: tuple,
 ) -> Fig2Panel:
-    """One Fig. 2 panel from its two fits, keyed [bunched, reference].
+    """One Fig. 2 panel: fits its sweeps, keyed [bunched, reference].
 
     The ratio is a(bunched)/a(reference). Fit errors cover shot noise only,
     so with noise on the simulated source-asymmetric scale systematic (one
     lognormal factor of log-sigma arm_scale_error per arm) is folded in.
+    With any other number of sweeps than two the panel holds the fits only,
+    and its ratio and within_band are None.
     """
+    fits = {key: fit_quadratic(sweep) for key, sweep in sweeps.items()}
+    if len(fits) != 2:
+        return Fig2Panel(fluorophore, sweeps, fits, None, None)
     ratio = enhancement_ratio(*fits.values())
     if noise and arm_scale_error > 0:
         sys_err = ratio.value * np.sqrt(2.0) * arm_scale_error
@@ -346,6 +354,24 @@ def error_budget(noise: bool, panel_scale_error: float, arm_scale_error: float) 
             "enhancement ratios"
         ),
     }
+
+
+def fig2_report(
+    panels: list,
+    master_seed: int,
+    noise: bool,
+    panel_scale_error: float,
+    arm_scale_error: float,
+    ratio_band: tuple,
+) -> Fig2Report:
+    """The Fig. 2 report of (fluorophore, {source key: SweepResult}) pairs.
+
+    Each pair becomes one fig2_panel, in the order given; a panel without
+    exactly two sweeps has ratio None and is left out of all_within_band.
+    """
+    panels = [fig2_panel(n, s, noise, arm_scale_error, ratio_band) for n, s in panels]
+    budget = error_budget(noise, panel_scale_error, arm_scale_error)
+    return Fig2Report(panels, master_seed, noise, tuple(ratio_band), budget)
 
 
 def _scale_factors(
@@ -394,6 +420,7 @@ def reproduce_fig2(
     from the master seed by fixed indices, so reports are byte-identical
     for a given (config, seed) at any thread count. In trace mode each
     source's trace grid is sized from its own coherence time (trace_grid).
+    Worker threads run only the sweeps; fig2_report fits them.
     """
     if len(sources) != 2:
         raise InvalidArgumentError("exactly two sources are required")
@@ -424,7 +451,7 @@ def reproduce_fig2(
     def _run(job):
         i, j, source, absorber = job
         _, duration, dt = grids[j]
-        sweep = power_sweep(
+        return power_sweep(
             source,
             absorber,
             chain,
@@ -436,27 +463,12 @@ def reproduce_fig2(
             trace_duration=duration,
             trace_dt=dt,
         )
-        return sweep, fit_quadratic(sweep)
 
-    results = thread_map(_run, jobs, threads)
-
-    panels = []
-    for i, absorber in enumerate(absorbers):
-        sweeps, fits = zip(*results[i * n_src : (i + 1) * n_src])
-        panels.append(
-            fig2_panel(
-                absorber.label,
-                dict(zip(source_keys, sweeps)),
-                dict(zip(source_keys, fits)),
-                noise,
-                arm_scale_error,
-                ratio_band,
-            )
-        )
-    return Fig2Report(
-        panels=panels,
-        master_seed=master_seed,
-        noise=noise,
-        ratio_band=tuple(ratio_band),
-        error_budget=error_budget(noise, panel_scale_error, arm_scale_error),
+    sweeps = thread_map(_run, jobs, threads)
+    panels = [
+        (a.label, dict(zip(source_keys, sweeps[i * n_src : (i + 1) * n_src])))
+        for i, a in enumerate(absorbers)
+    ]
+    return fig2_report(
+        panels, master_seed, noise, panel_scale_error, arm_scale_error, ratio_band
     )

@@ -1,5 +1,6 @@
 """Configuration loading, hashing, and the command-line surface."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from photonstat.config import (
     resolve_chain,
     resolve_source,
 )
+from photonstat import cli, errors
 from photonstat.errors import ConfigError
 from photonstat.cli import main
 
@@ -201,6 +203,48 @@ def test_cli_report_rebuild_matches(tmp_path):
         assert {k: p2[k] for k in keys} == {k: p1[k] for k in keys}
 
 
+def test_cli_report_with_a_missing_sweep_csv(tmp_path, capsys):
+    # At seed 7 the ratios are 1.993, 2.045 and 1.905: only CdTe-QD lies
+    # outside [1.9, 2.0], and report drops its ratio with its sld sweep.
+    out = tmp_path / "fig2"
+    cfg = tmp_path / "band.yaml"
+    cfg.write_text("experiment:\n  ratio_band: [1.9, 2.0]\n")
+    args = ["--config", cfg, "--out", out, "--seed", 7]
+    assert run_cli(["reproduce-fig2", *args]) == 4
+    first = json.loads((out / "report.json").read_text())
+    assert [p["within_band"] for p in first["panels"]] == [True, False, True]
+    (out / "CdTe-QD__sld.csv").unlink()
+    for plot in (out / "plots").iterdir():
+        plot.unlink()
+    capsys.readouterr()
+    assert run_cli(["report", *args]) == 0
+    assert "from 5 sweep files" in capsys.readouterr().out
+    rebuilt = json.loads((out / "report.json").read_text())
+    dcm, cdte, rhodamine = rebuilt["panels"]
+    assert cdte == {
+        "fluorophore": "CdTe-QD",
+        "fits": {"dfb": first["panels"][1]["fits"]["dfb"]},
+    }
+    assert sorted(p.name for p in (out / "plots").iterdir()) == [
+        "DCM.svg",
+        "RhodamineB.svg",
+    ]
+    keys = ("fluorophore", "ratio", "ratio_stderr", "within_band", "fits")
+    for p1, p2 in zip([first["panels"][0], first["panels"][2]], [dcm, rhodamine]):
+        assert {k: p2[k] for k in keys} == {k: p1[k] for k in keys}
+    # Taken over the two complete panels, both within the band.
+    assert not first["all_within_band"]
+    assert rebuilt["all_within_band"]
+    rows = (out / "fits.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == [
+        "DCM/sld",
+        "DCM/dfb",
+        "CdTe-QD/dfb",
+        "RhodamineB/sld",
+        "RhodamineB/dfb",
+    ]
+
+
 def test_cli_report_ignores_sweep_command_csvs(tmp_path):
     out = tmp_path / "fig2"
     assert run_cli(["sweep", "--out", out, "--seed", 31]) == 0
@@ -306,6 +350,46 @@ def test_cli_g2_refuses_max_delay_beyond_half_the_trace(tmp_path, capsys):
         assert len(err) == 1
         assert err[0].startswith("error [config-error]:")
         assert "half the trace duration" in err[0]
+
+
+def test_cli_grid_beyond_memory_is_config_error(tmp_path, capsys):
+    # 1e16 coherence times at 8 samples each is a 569 PiB array, beyond any
+    # 64-bit address space, so numpy refuses it at once whatever the
+    # kernel's overcommit policy.
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text("simulate:\n  duration_over_tauc: 1.0e+16\n")
+    code, err = run_cli_error(capsys, ["simulate", "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error [config-error]: out of memory:")
+
+
+_EXIT_NAMES = {2: "config-error", 3: "data-error", 4: "acceptance-failure"}
+_EXIT_CODES = {
+    errors.ConfigError: 2,
+    errors.InvalidArgumentError: 2,
+    errors.SamplingError: 2,
+    errors.AcceptanceError: 4,
+}
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        cls
+        for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.PhotonstatError)
+    ],
+    ids=lambda cls: cls.__name__,
+)
+def test_cli_exit_code_of_every_package_error(tmp_path, capsys, monkeypatch, exc):
+    def handler(cfg, args):
+        raise exc("injected")
+
+    monkeypatch.setitem(cli._HANDLERS, "simulate", handler)
+    code, err = run_cli_error(capsys, ["simulate", "--out", tmp_path])
+    assert code == _EXIT_CODES.get(exc, 3)
+    assert err == [f"error [{_EXIT_NAMES[code]}]: injected"]
 
 
 def test_cli_sweep_beyond_poisson_limit_is_config_error(tmp_path, capsys):

@@ -183,6 +183,20 @@ def test_counts_input_validation():
         g2_from_counts(good, -1e-3, 1e-2)
     with pytest.raises(InvalidArgumentError):
         g2_from_counts(good, 1e-3, 1e-4)
+    # Refused before any cast to int64 bin indices, naming the argument.
+    for bin_width, max_delay, name in [
+        (np.nan, 1e-2, "bin_width"),
+        (np.inf, 1e-2, "bin_width"),
+        (1e-3, np.nan, "max_delay"),
+        (1e-3, np.inf, "max_delay"),
+        (1e-3, -1e-2, "max_delay"),
+        (1e-3, 1e300, "max_delay"),
+        (1e-300, 1e-2, "bin_width"),
+        # 1e10 lags fit int64, but the 1 s stream spans 1e300 bins.
+        (1e-300, 1e-290, "bin_width"),
+    ]:
+        with pytest.raises(InvalidArgumentError, match=name):
+            g2_from_counts(good, bin_width, max_delay)
 
 
 def test_estimate_serialization(tmp_path):

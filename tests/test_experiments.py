@@ -17,6 +17,7 @@ from photonstat.experiments import (
     SweepResult,
     calibrate_dipole,
     enhancement_ratio,
+    fig2_report,
     fit_quadratic,
     power_sweep,
     reproduce_fig2,
@@ -303,6 +304,33 @@ def test_report_noise_off_every_panel_is_two():
         for fit in panel.fits.values():
             assert fit.exponent_check.b == pytest.approx(2.0, abs=1e-6)
     assert report.all_within_band
+
+
+def test_fig2_report_rebuilds_reproduce_fig2_and_skips_incomplete_panels():
+    full = default_report(17, ratio_band=(1.9, 2.0))
+    pairs = [(p.fluorophore, p.sweeps) for p in full.panels]
+    rebuilt = fig2_report(pairs, 17, True, 0.10, 0.02, (1.9, 2.0))
+    assert rebuilt.ratios() == full.ratios()
+    assert rebuilt.error_budget == full.error_budget
+    assert rebuilt.all_within_band == full.all_within_band
+    # Drop one sweep of every panel out of band: the rest decide the flag.
+    assert not full.all_within_band
+    assert any(p.within_band for p in full.panels)
+    pairs = [
+        (name, sweeps if panel.within_band else dict(list(sweeps.items())[:1]))
+        for (name, sweeps), panel in zip(pairs, full.panels)
+    ]
+    partial = fig2_report(pairs, 17, True, 0.10, 0.02, (1.9, 2.0))
+    assert partial.all_within_band
+    for panel, whole in zip(partial.panels, full.panels):
+        if whole.within_band:
+            assert panel.ratio == whole.ratio
+        else:
+            assert panel.ratio is None and panel.within_band is None
+            assert list(panel.fits) == list(panel.sweeps) == [next(iter(whole.fits))]
+    assert partial.ratios() == [
+        p.ratio.value if p.within_band else None for p in full.panels
+    ]
 
 
 def test_report_thread_count_does_not_change_results():
