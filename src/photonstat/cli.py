@@ -433,7 +433,8 @@ def _write_fig2(
     """Plots, fits.csv and report.json of a Fig. 2 report.
 
     names[i] names panel i's plot and report.json entry; extras[i] holds
-    further keys of that entry. A panel without a ratio gets no plot.
+    further keys of that entry. A panel without a ratio gets no plot, and
+    an earlier plot of it is removed.
     """
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
@@ -446,8 +447,11 @@ def _write_fig2(
             cells = ["" if f[c] is None else repr(float(f[c])) for c in columns]
             table.append([f"{name}/{key}", *cells])
         entry = {"fluorophore": name, "fits": fits, **extra}
-        if panel.ratio is not None:
-            with open(plots / f"{name}.svg", "w") as fh:
+        plot = plots / f"{name}.svg"
+        if panel.ratio is None:
+            plot.unlink(missing_ok=True)
+        else:
+            with open(plot, "w") as fh:
                 fh.write(_panel_svg(cfg, name, panel))
             entry["ratio"] = panel.ratio.value
             entry["ratio_stderr"] = panel.ratio.stderr

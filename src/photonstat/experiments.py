@@ -105,7 +105,8 @@ class Fig2Report:
 
     @property
     def all_within_band(self) -> bool:
-        return all(p.within_band for p in self.panels if p.ratio is not None)
+        rated = [p.within_band for p in self.panels if p.ratio is not None]
+        return bool(rated) and all(rated)
 
     def ratios(self) -> list:
         return [None if p.ratio is None else p.ratio.value for p in self.panels]
@@ -367,7 +368,8 @@ def fig2_report(
     """The Fig. 2 report of (fluorophore, {source key: SweepResult}) pairs.
 
     Each pair becomes one fig2_panel, in the order given; a panel without
-    exactly two sweeps has ratio None and is left out of all_within_band.
+    exactly two sweeps has ratio None and is left out of all_within_band,
+    which is False when no panel has a ratio.
     """
     panels = [fig2_panel(n, s, noise, arm_scale_error, ratio_band) for n, s in panels]
     budget = error_budget(noise, panel_scale_error, arm_scale_error)

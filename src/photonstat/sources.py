@@ -58,6 +58,9 @@ G1_DECAY_THRESHOLD = 0.05
 # _block_lag_sums transforms per batch of windows.
 _LAG_BLOCK = 8192
 _CHUNK_POINTS = 1 << 20
+# Margin of the no-decay certificate over G1_DECAY_THRESHOLD, far above the
+# rounding of the sums it is computed from.
+_CERTIFICATE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +77,8 @@ class FieldTrace:
     inf samples are refused. What is derived from the samples is computed
     on first use and cached: intensity(), mean_power(), moment(n), the
     coherence_time (or its EstimationError) and bootstrap_block_len (from
-    that whole-trace coherence time).
+    that whole-trace coherence time). A field dominated by its mean, such
+    as coherent light, is shown not to decay in O(n), with no lag sum.
     """
 
     samples: np.ndarray
@@ -154,8 +158,8 @@ class FieldTrace:
         The coherence time is the trace's own cached one, so the block
         length costs no second coherence pass. Without decay (coherent
         light) the intensity is uncorrelated or constant: any split works.
-        That pass grows with n: on a coherent trace it ends in the full
-        n/2-lag search (~0.45 s and ~100 MB at 2e6 samples).
+        Where the no-decay certificate of coherence_time applies, the block
+        length costs O(n) and no lag sum.
         """
         tau_c = self._tau_c
         ten_tau = 1 if tau_c is None else int(np.ceil(10.0 * tau_c / self.dt))
@@ -498,8 +502,33 @@ def _g1_magnitude(samples: np.ndarray, max_lag: int) -> np.ndarray:
     return np.abs(acorr / acorr[0])
 
 
+def _g1_floor(samples: np.ndarray) -> float:
+    """A lower bound on |g1(k)| for every k <= n // 2, in O(n) and no lag sum.
+
+    Write x = mu + y with mu the sample mean, P = <|x|^2> and
+    s^2 = P - |mu|^2 = <|y|^2>. The lag-k mean of conj(x[t]) x[t + k] over
+    t < n - k is |mu|^2 plus two cross terms, each a mean of n - k values
+    of y times mu, plus a mean of conj(y[t]) y[t + k]. Cauchy-Schwarz
+    bounds each cross term by |mu| s sqrt(n / (n - k)) and the last term by
+    s^2 n / (n - k); with n - k >= n / 2 that gives
+    |g1(k)| >= (|mu|^2 - 2 sqrt(2) |mu| s - 2 s^2) / P. NaN where P is
+    zero or subnormal (its rounding is then not relative) or overflows.
+    """
+    n = samples.size
+    mean = complex(samples.mean())
+    mean_sq = mean.real * mean.real + mean.imag * mean.imag
+    power = float(np.vdot(samples, samples).real) / n
+    if not power >= np.finfo(np.float64).smallest_normal:
+        return math.nan
+    spread_sq = max(power - mean_sq, 0.0)
+    bound = mean_sq - 2.0 * math.sqrt(2.0 * mean_sq * spread_sq) - 2.0 * spread_sq
+    return bound / power
+
+
 def _coherence_time(samples: np.ndarray, dt: float) -> float | None:
     """coherence_time of these samples, or None if |g1| never decays."""
+    if _g1_floor(samples) > G1_DECAY_THRESHOLD + _CERTIFICATE_MARGIN:
+        return None
     half = samples.size // 2
     for max_lag in sorted({min(_LAG_BLOCK // 4, half), half}):
         g1 = _g1_magnitude(samples, max_lag)
@@ -523,8 +552,14 @@ def coherence_time(trace: FieldTrace) -> float:
     Raises EstimationError when |g1| never decays below the threshold
     within half the trace, e.g. for a coherent field.
 
-    The decay is first searched over a short lag range, whose lag sums cost
-    block-wise FFTs only; the full half trace is searched only if |g1|
+    First an O(n) certificate: with mu the sample mean, P = <|E|^2> and
+    s^2 = P - |mu|^2, every |g1| up to half the trace is at least
+    (|mu|^2 - 2 sqrt(2) |mu| s - 2 s^2) / P. When that floor clears the
+    threshold (coherent light with relative amplitude noise up to about
+    0.28, or a constant field plus a fluctuating part under about 7
+    percent of the power), the EstimationError is raised without a lag
+    sum. Otherwise the decay is searched over a short lag range, whose lag
+    sums cost block-wise FFTs only, and the full half trace only if |g1|
     stays above the threshold there. The outcome is cached on the trace.
     """
     tau_c = trace._tau_c

@@ -245,6 +245,38 @@ def test_cli_report_with_a_missing_sweep_csv(tmp_path, capsys):
     ]
 
 
+def test_cli_report_removes_the_plot_of_an_incomplete_panel(tmp_path):
+    out = tmp_path / "fig2"
+    args = ["--out", out, "--seed", 7]
+    assert run_cli(["reproduce-fig2", *args]) == 0
+    plots = out / "plots"
+    first = {p.name: p.read_bytes() for p in plots.iterdir()}
+    first_fits = (out / "fits.csv").read_bytes()
+    assert sorted(first) == ["CdTe-QD.svg", "DCM.svg", "RhodamineB.svg"]
+    # With every sweep CSV in place, report rewrites the same artifacts.
+    assert run_cli(["report", *args]) == 0
+    assert {p.name: p.read_bytes() for p in plots.iterdir()} == first
+    assert (out / "fits.csv").read_bytes() == first_fits
+    (out / "CdTe-QD__sld.csv").unlink()
+    assert run_cli(["report", *args]) == 0
+    del first["CdTe-QD.svg"]
+    assert {p.name: p.read_bytes() for p in plots.iterdir()} == first
+
+
+def test_cli_report_without_a_complete_panel_is_not_within_band(tmp_path):
+    out = tmp_path / "fig2"
+    args = ["--out", out, "--seed", 7]
+    assert run_cli(["reproduce-fig2", *args]) == 0
+    assert json.loads((out / "report.json").read_text())["all_within_band"]
+    for path in out.glob("*__dfb.csv"):
+        path.unlink()
+    assert run_cli(["report", *args]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["all_within_band"] is False
+    assert [sorted(p) for p in report["panels"]] == [["fits", "fluorophore"]] * 3
+    assert list((out / "plots").iterdir()) == []
+
+
 def test_cli_report_ignores_sweep_command_csvs(tmp_path):
     out = tmp_path / "fig2"
     assert run_cli(["sweep", "--out", out, "--seed", 31]) == 0

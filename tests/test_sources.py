@@ -5,8 +5,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 
+from photonstat import sources
 from photonstat.correlation import gn_zero
 from photonstat.errors import (
     DegenerateInputError,
@@ -22,6 +25,7 @@ from photonstat.sources import (
     FieldTrace,
     SourceSpec,
     _fft_len,
+    _g1_floor,
     _lag_sums,
     coherence_time,
     estimate_bandwidth_hz,
@@ -237,16 +241,20 @@ def test_coherence_time_lorentzian():
     assert coherence_time(trace) == pytest.approx(tau_c, rel=0.05)
 
 
-def reference_coherence_time(trace):
-    """coherence_time from the full fft/ifft autocorrelation it replaced."""
-    e = trace.samples
-    n = e.size
+def reference_g1(samples):
+    """|g1(k)| for k = 0..n // 2 from one full fft/ifft autocorrelation."""
+    n = samples.size
     max_lag = n // 2
     nfft = _fft_len(n + max_lag + 1)
-    spec = np.fft.fft(e, nfft)
+    spec = np.fft.fft(samples, nfft)
     acorr = np.fft.ifft(spec * np.conj(spec))[: max_lag + 1]
     acorr = acorr / (n - np.arange(max_lag + 1))
-    g1 = np.abs(acorr / acorr[0])
+    return np.abs(acorr / acorr[0])
+
+
+def reference_coherence_time(trace):
+    """coherence_time from the full fft/ifft autocorrelation it replaced."""
+    g1 = reference_g1(trace.samples)
     k_star = int(np.nonzero(g1 < G1_DECAY_THRESHOLD)[0][0])
     return float(2.0 * np.trapezoid(g1[: k_star + 1] ** 2, dx=trace.dt))
 
@@ -314,6 +322,142 @@ def test_coherence_time_needs_decay():
     trace = make_trace(spec, 1e-6, 1e-10, 3)
     with pytest.raises(EstimationError):
         coherence_time(trace)
+
+
+def count_lag_sums(monkeypatch):
+    """The max_lag of every _lag_sums call from here on."""
+    calls = []
+
+    def counting(x, max_lag):
+        calls.append(max_lag)
+        return _lag_sums(x, max_lag)
+
+    monkeypatch.setattr(sources, "_lag_sums", counting)
+    return calls
+
+
+def check_certificate(trace):
+    """The certificate's floor lies under |g1| at every lag up to n // 2.
+    Where it fires (coherence_time takes no lag sum), |g1| stays at or
+    above the threshold and coherence_time raises."""
+    x = trace.samples
+    mu = x.mean()
+    s = np.sqrt(np.mean(np.abs(x - mu) ** 2))
+    power = np.mean(np.abs(x) ** 2)
+    floor = (abs(mu) ** 2 - 2 * np.sqrt(2) * abs(mu) * s - 2 * s**2) / power
+    g1 = reference_g1(x)
+    assert floor <= g1.min() + 1e-12
+    # _g1_floor takes s^2 as P - |mu|^2, which rounds to within ~10 eps P;
+    # the square root lifts that to ~1e-7 as s -> 0.
+    assert _g1_floor(x) == pytest.approx(floor, rel=0, abs=1e-6)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_lag_sums(mp)
+        try:
+            coherence_time(trace)
+            decays = True
+        except EstimationError:
+            decays = False
+    fired = not calls
+    event("certificate fired" if fired else "certificate declined")
+    if fired:
+        assert not decays
+        assert g1.min() >= G1_DECAY_THRESHOLD
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_tauc=st.integers(200, 2_500),
+    shape=st.sampled_from(["gaussian", "lorentzian"]),
+    thermal_fraction=st.floats(0.0, 0.15),
+    phase=st.floats(0.0, 2.0 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_decay_certificate_on_coherent_plus_thermal(
+    n_tauc, shape, thermal_fraction, phase, seed
+):
+    # Up to 20 000 samples. The certificate's floor crosses the threshold
+    # near a thermal power fraction of 0.07.
+    thermal = quick_trace(thermal_spec(shape), n_tauc=n_tauc, seed=seed)
+    constant = np.sqrt(thermal.mean_power() * (1.0 - thermal_fraction))
+    fluctuation = np.sqrt(thermal_fraction) * thermal.samples
+    samples = constant * np.exp(1j * phase) + fluctuation
+    check_certificate(FieldTrace(samples, thermal.dt, thermal.carrier_freq, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 20_000),
+    eps=st.floats(0.0, 0.35),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_decay_certificate_on_noisy_coherent_light(n, eps, seed):
+    # The floor crosses the threshold near eps = 0.28.
+    spec = dataclasses.replace(source_preset("dfb"), amplitude_noise=eps)
+    _, duration, dt = trace_grid(spec, n / 8, 8)
+    check_certificate(make_trace(spec, duration, dt, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 4_000), min_size=2, max_size=5),
+    levels=st.lists(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        min_size=5,
+        max_size=5,
+    ),
+    hop_fraction=st.floats(0.0, 0.3),
+)
+def test_no_decay_certificate_on_a_hopping_field(lengths, levels, hop_fraction):
+    # A constant field plus a few-level step fluctuation (a laser with mode
+    # hops): its long-range correlations make the cross terms of the bound
+    # matter, where those of white or thermal fluctuations average away.
+    steps = np.repeat(levels[: len(lengths)], lengths)
+    steps -= steps.mean()
+    rms = np.sqrt(np.mean(np.abs(steps) ** 2))
+    steps = steps / rms if rms > 0 else steps
+    samples = np.sqrt(1.0 - hop_fraction) + np.sqrt(hop_fraction) * steps
+    check_certificate(FieldTrace(samples, 1e-12, 1e15, 0))
+
+
+def test_coherent_trace_costs_no_lag_sum(monkeypatch):
+    calls = count_lag_sums(monkeypatch)
+    spec = dataclasses.replace(source_preset("dfb"), amplitude_noise=0.1)
+    _, duration, dt = trace_grid(spec, 250_000, 8)
+    trace = make_trace(spec, duration, dt, 11)
+    assert trace.n_samples == 2_000_000
+    with pytest.raises(EstimationError):
+        coherence_time(trace)
+    assert trace.bootstrap_block_len == max(1, trace.n_samples // 200)
+    assert calls == []
+
+
+DFB, SLD = source_preset("dfb"), source_preset("sld")
+
+
+@pytest.mark.parametrize(
+    "spec, certified",
+    [
+        (dataclasses.replace(DFB, amplitude_noise=0.0), True),
+        (dataclasses.replace(DFB, amplitude_noise=0.1), True),
+        (dataclasses.replace(DFB, amplitude_noise=0.2), True),
+        (dataclasses.replace(SLD, statistics="tunable", target_g2=1.0), True),
+        (dataclasses.replace(DFB, amplitude_noise=0.3), False),
+        (dataclasses.replace(SLD, statistics="pseudo-thermal", mode_count=1), False),
+    ],
+    ids=["dfb-eps0", "dfb-eps0.1", "dfb-eps0.2", "tunable-g2-1", "dfb-eps0.3", "pt-1"],
+)
+def test_no_decay_certificate_or_the_full_search(monkeypatch, spec, certified):
+    # 160 000 samples. Where the certificate declines, the two-stage search
+    # runs out to n // 2 lags and still finds no decay.
+    _, duration, dt = trace_grid(spec, 20_000, 8)
+    trace = make_trace(spec, duration, dt, 4)
+    calls = count_lag_sums(monkeypatch)
+    with pytest.raises(EstimationError):
+        coherence_time(trace)
+    if certified:
+        assert calls == []
+    else:
+        assert max(calls) == trace.n_samples // 2
 
 
 def test_grid_too_coarse_rejected():
