@@ -18,6 +18,7 @@ trace compute each of them once.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,12 @@ from .errors import (
 )
 from .seeding import rng_for
 from .sources import (
+    _CHUNK_POINTS,
     FieldTrace,
     _block_lag_sums,
     _fft_len,
     _lag_sums,
+    _window_lag_sums,
 )
 
 __all__ = [
@@ -263,6 +266,82 @@ def gn_zero(
     )
 
 
+def _count_window(n_events: int, n_bins: int, k_max: int) -> int:
+    """The 2^a 3^b transform length m = L + 2 k_max of _count_lag_sums.
+
+    Of m from max(6 k_max, 1024) up to 8 times that, the one of least
+    expected transform work: m log m plus the same for the overlap per
+    occupied window, with the occupied windows counted as if the events
+    were a Poisson stream. Dense streams take longer windows, so padding
+    and overlaps weigh less; sparse ones short, so an isolated event costs
+    little.
+    """
+    overlap = _fft_len(2 * k_max, radix=3)
+    m = _fft_len(max(6 * k_max, 1024), radix=3)
+    top = 8 * m
+    best, best_cost = m, math.inf
+    while m <= top:
+        block = m - 2 * k_max
+        occupied = -math.expm1(-n_events * block / n_bins) * n_bins / block
+        cost = max(1.0, occupied) * (m * math.log2(m) + overlap * math.log2(overlap))
+        if cost < best_cost:
+            best, best_cost = m, cost
+        m = _fft_len(m + 1, radix=3)
+    return best
+
+
+def _count_lag_sums(bin_idx: np.ndarray, n_bins: int, k_max: int) -> np.ndarray:
+    """Sums over t of c[t] c[t + k], k <= k_max, where c[t] counts the
+    sorted bin indices equal to t (all below n_bins); exact integers, as
+    floats.
+
+    The windows of _window_lag_sums are built from the events: bin e lands
+    at offset e - wL of window w = e // L, and at offset L + e - wL of
+    window w - 1 when e - wL < k_max (L >= 4 k_max). Only windows holding
+    an event are listed (the others sum to zero), one np.bincount per
+    batch of about _CHUNK_POINTS points, and bins past the last event
+    count as zeros. Memory is O(events + one batch) and time follows the
+    occupied windows. L + 2 k_max is a 2^a 3^b length (_count_window);
+    rounding the sums makes the counts independent of that geometry.
+    """
+    m = _count_window(bin_idx.size, n_bins, k_max)
+    block = m - 2 * k_max
+    width = block + k_max
+    window = bin_idx // block
+    starts = np.empty(window.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(window[1:], window[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    occupied = window[first]
+    row = np.repeat(np.arange(first.size), np.diff(first, append=window.size))
+    offset = window * block
+    np.subtract(bin_idx, offset, out=offset)
+    # Events in the first k_max bins of window w whose window w - 1 is
+    # listed too, as row - 1.
+    lead = np.flatnonzero(offset < k_max)
+    lead = lead[row[lead] > 0]
+    lead = lead[occupied[row[lead] - 1] == window[lead] - 1]
+    del window, starts, first
+    # Key row * width + offset; w - 1 holds the same bin at key - k_max.
+    keys = row
+    keys *= width
+    keys += offset
+    del offset
+    keys = (keys, keys[lead] - k_max)
+    step = max(1, _CHUNK_POINTS // m)
+
+    def batches():
+        for r0 in range(0, occupied.size, step):
+            rows = min(step, occupied.size - r0)
+            lo, hi = r0 * width, (r0 + rows) * width
+            part = np.concatenate(
+                [k[np.searchsorted(k, lo) : np.searchsorted(k, hi)] for k in keys]
+            )
+            yield np.bincount(part - lo, minlength=rows * width).reshape(rows, width)
+
+    return np.rint(_window_lag_sums(batches(), block, k_max, radix=3))
+
+
 # Bin indices below this float (2^63) cast to int64 exactly.
 _MAX_BIN_INDEX = 2.0**63
 
@@ -278,6 +357,11 @@ def g2_from_counts(
     Standard errors are Poissonian in the per-bin coincidence counts.
     bin_width and max_delay must be positive and finite, and max_delay and
     the stream each span fewer than 2^63 bins (checked before any cast).
+
+    The pair counts are exact integers, taken from the sorted events with
+    no histogram of the whole stream (_count_lag_sums): memory follows the
+    number of events, not duration / bin_width, and stretches with no
+    events cost nothing.
     """
     for name, value in (("bin_width", bin_width), ("max_delay", max_delay)):
         if not 0 < value < np.inf:
@@ -301,18 +385,14 @@ def g2_from_counts(
         )
     if not (times[-1] - times[0]) / bin_width < _MAX_BIN_INDEX:
         raise InvalidArgumentError("bin_width: the stream spans over 2^63 bins")
-    rel = times - times[0]
-    bin_idx = np.floor(rel / bin_width).astype(np.int64)
+    bin_idx = np.floor((times - times[0]) / bin_width).astype(np.int64)
     n_bins = int(bin_idx[-1]) + 1
     k_max = int(round(max_delay / bin_width))
     if k_max >= n_bins // 2:
         raise InvalidArgumentError("max_delay exceeds half the stream duration")
     total = float(times.size)
     mean_per_bin = total / n_bins
-    # Autocorrelation of the integer counts. No reference to them is kept
-    # here, so a one-FFT _lag_sums frees them before its inverse transform;
-    # the block-wise path converts them to float one batch at a time.
-    raw = _lag_sums(np.bincount(bin_idx, minlength=n_bins), k_max)
+    raw = _count_lag_sums(bin_idx, n_bins, k_max)
     pair_counts = np.empty(k_max + 1)
     pair_counts[0] = raw[0] - total  # sum n(n-1)
     pair_counts[1:] = raw[1:]

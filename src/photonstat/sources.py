@@ -416,8 +416,9 @@ def make_trace(spec: SourceSpec, duration: float, dt: float, seed: int) -> Field
     return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed), copy=False)
 
 
-def _fft_len(m: int) -> int:
-    """Smallest 5-smooth integer 2^a 3^b 5^c >= m, the zero-padded FFT length.
+def _fft_len(m: int, radix: int = 5) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= m, the zero-padded FFT length
+    (2^a 3^b when the largest radix is 3).
 
     Padding a length-n sequence to at least n + k_max + 1 points keeps
     circular lag correlations free of wrap-around up to lag k_max.
@@ -429,6 +430,8 @@ def _fft_len(m: int) -> int:
         while p35 < best:
             best = min(best, p35 << (-(-m // p35) - 1).bit_length())
             p35 *= 3
+        if radix < 5:
+            break
         p5 *= 5
     return best
 
@@ -471,24 +474,40 @@ def _block_lag_sums(x: np.ndarray, block: int, nb: int, max_lag: int, per_block=
     """Lag sums of the pairs that start in each of the first nb blocks.
 
     Row b sums conj(x[bL + t]) x[bL + t + k] over t < L = block, k <= max_lag
-    (nb L + max_lag <= n); per_block returns the rows, else their sum. Each
-    window w_b = x[bL : bL + L + max_lag] is transformed once at
-    m >= L + 2 max_lag points and |W_b|^2 inverted, less the lag sums of the
-    overlap x[bL + L : bL + L + max_lag] (from >= 2 max_lag points). Batches
-    of about _CHUNK_POINTS points; for the sum, spectra add up per batch.
+    (nb L + max_lag <= n); per_block returns the rows, else their sum. The
+    windows x[bL : bL + L + max_lag] go to _window_lag_sums in batches of
+    about _CHUNK_POINTS transformed points.
     """
-    real = not np.iscomplexobj(x)
-    fft = np.fft.rfft if real else np.fft.fft
     m = _fft_len(block + 2 * max_lag)
     windows = np.lib.stride_tricks.sliding_window_view(x, block + max_lag)
     step = max(1, _CHUNK_POINTS // m)
+    batches = (
+        windows[b0 * block : min(nb, b0 + step) * block : block]
+        for b0 in range(0, nb, step)
+    )
+    return _window_lag_sums(batches, block, max_lag, per_block)
+
+
+def _window_lag_sums(batches, block: int, max_lag: int, per_block=False, radix=5):
+    """Lag sums of the pairs that start in the first L = block values of
+    each window row, for k <= max_lag.
+
+    Each batch is an array of rows w of L + max_lag values. Every row is
+    transformed once at m = _fft_len(L + 2 max_lag, radix) points and
+    |W|^2 inverted, less the lag sums of its overlap w[L:] (from
+    _fft_len(2 max_lag, radix) points). per_block returns one row of sums
+    per window, else their sum; for the sum, spectra add up per batch.
+    """
+    sizes = (_fft_len(block + 2 * max_lag, radix), _fft_len(2 * max_lag, radix))
     rows = []
-    for b0 in range(0, nb, step):
-        chunk = windows[b0 * block : min(nb, b0 + step) * block : block]
+    for chunk in batches:
+        real = not np.iscomplexobj(chunk)
+        fft = np.fft.rfft if real else np.fft.fft
         sums = []
-        for part, size in ((chunk, m), (chunk[:, block:], _fft_len(2 * max_lag))):
+        for part, size in zip((chunk, chunk[:, block:]), sizes):
             spec = fft(part, size)
-            power = spec.real**2 + spec.imag**2
+            power = spec.real**2
+            power += spec.imag**2
             power = power if per_block else power.sum(axis=0, keepdims=True)
             sums.append(_power_lag_sums(power, size, max_lag, real))
         rows.append(sums[0] - sums[1])

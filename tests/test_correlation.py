@@ -1,6 +1,7 @@
 """Correlation estimators: symmetry, convergence, bootstrap calibration,
 photon-count histograms."""
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -351,8 +352,8 @@ def reference_pair_counts(times, bin_width, k_max):
 
 @pytest.mark.parametrize("k_max", [30, 12_000])
 def test_counts_match_direct_pair_counts(k_max):
-    # 40 000 bins: k_max = 30 takes the block-wise lag sums, 12 000 the
-    # single padded FFT.
+    # 40 000 bins: k_max = 30 spreads the events over several windows,
+    # 12 000 fits them all in one.
     rng = rng_for(99, 3)
     times = np.sort(rng.uniform(0.0, 1.0, 4_000))
     bin_width = (times[-1] - times[0]) / 39_999.5
@@ -360,7 +361,113 @@ def test_counts_match_direct_pair_counts(k_max):
     pairs, n_bins = reference_pair_counts(times, bin_width, k_max)
     mean_per_bin = times.size / n_bins
     expected = pairs / (n_bins - np.arange(k_max + 1)) / mean_per_bin**2
-    assert np.allclose(est.values, np.maximum(expected, 0.0), rtol=0, atol=1e-9)
+    assert np.array_equal(est.values, np.maximum(expected, 0.0))
+
+
+def pair_difference_counts(bin_idx, k_max):
+    """sum_t c[t] c[t + k], k <= k_max, of sorted bin indices, from the
+    differences of event pairs (no histogram of the stream)."""
+    sums = np.zeros(k_max + 1, dtype=np.int64)
+    sums[0] = bin_idx.size
+    for shift in range(1, bin_idx.size):
+        diffs = bin_idx[shift:] - bin_idx[:-shift]
+        near = diffs[diffs <= k_max]
+        if near.size == 0:
+            break
+        counts = np.bincount(near, minlength=k_max + 1)
+        sums += counts
+        sums[0] += counts[0]  # c[t]^2 counts both orders of a same-bin pair
+    return sums
+
+
+def counts_g2(bin_idx, n_bins, k_max):
+    """g2_from_counts' values from the pair-difference reference."""
+    pairs = pair_difference_counts(bin_idx, k_max).astype(float)
+    pairs[0] -= bin_idx.size
+    mean_per_bin = bin_idx.size / n_bins
+    return np.maximum(pairs / (n_bins - np.arange(k_max + 1)) / mean_per_bin**2, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_events=st.integers(1_000, 2_500),
+    k_max=st.integers(1, 400),
+    spacing_exp=st.floats(-1.5, 4.7),
+    n_gaps=st.integers(0, 5),
+    n_edges=st.integers(0, 40),
+    dup_frac=st.floats(0.0, 0.01),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_lag_sums_are_exact_pair_counts(
+    n_events, k_max, spacing_exp, n_gaps, n_edges, dup_frac, seed
+):
+    # Streams from many events per bin (spacing 0.03 bins) to isolated
+    # ones (5e4 bins, far beyond a window), with gaps longer than k_max,
+    # events moved onto window edges and up to 1 % repeated timestamps.
+    rng = np.random.default_rng(seed)
+    gaps = rng.exponential(10.0**spacing_exp, n_events)
+    gaps[rng.choice(n_events, n_gaps)] += rng.integers(k_max + 1, 20 * k_max + 2, n_gaps)
+    bin_idx = np.floor(np.cumsum(gaps) - gaps[0]).astype(np.int64)
+    n_bins = int(bin_idx[-1]) + 1
+    k_max = min(k_max, n_bins // 2 - 1)
+    # The window length g2_from_counts will use: edges are offsets 0,
+    # L - 1 and the first k_max bins of a window.
+    block = correlation._count_window(n_events, n_bins, k_max) - 2 * k_max
+    moved = rng.choice(np.arange(1, n_events - 1), min(n_edges, n_events - 2), replace=False)
+    window = rng.integers(0, (n_bins - 1) // block + 1, moved.size)
+    kind = rng.integers(0, 3, moved.size)
+    offset = np.choose(kind, [0, block - 1, rng.integers(0, k_max, moved.size)])
+    bin_idx[moved] = np.minimum(window * block + offset, n_bins - 1)
+    bin_idx.sort()
+    # Distinct in-bin positions, except for the repeated timestamps.
+    frac = rng.uniform(0.01, 0.99, n_events)
+    frac[0] = 0.0
+    times = bin_idx + frac
+    times.sort()
+    repeat = rng.choice(np.arange(1, n_events - 1), int(dup_frac * n_events), replace=False)
+    times[repeat] = times[repeat - 1]
+    times.sort()
+    bin_idx = np.floor(times).astype(np.int64)
+
+    sums = correlation._count_lag_sums(bin_idx, n_bins, k_max)
+    assert np.array_equal(sums, pair_difference_counts(bin_idx, k_max))
+    est = g2_from_counts(times, 1.0, float(k_max))
+    assert np.array_equal(est.values, counts_g2(bin_idx, n_bins, k_max))
+
+
+def _alloc_peak_mb(func):
+    tracemalloc.start()
+    try:
+        result = func()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_counts_memory_follows_events_at_picosecond_bins():
+    # 2 000 events over 1 s at 1 ps bins span 1e12 bins, a 7.3 TiB
+    # histogram; half of them come in bunches within 1 ns, so the pair
+    # counts are not all zero.
+    rng = rng_for(12, 1)
+    starts = rng.uniform(0.0, 1.0, 250)
+    bunched = (starts[:, None] + rng.uniform(0.0, 1e-9, (250, 4))).ravel()
+    times = np.sort(np.concatenate([rng.uniform(0.0, 1.0, 1_000), bunched]))
+    bin_width = 1e-12
+    est, peak = _alloc_peak_mb(lambda: g2_from_counts(times, bin_width, 1e-9))
+    assert peak < 32
+    bin_idx = np.floor((times - times[0]) / bin_width).astype(np.int64)
+    expected = counts_g2(bin_idx, int(bin_idx[-1]) + 1, 1_000)
+    assert np.array_equal(est.values, expected)
+    assert np.count_nonzero(expected[1:]) > 100
+
+
+def test_counts_memory_at_dense_geometry():
+    # 1e6 events over 1.6e7 bins, the size of a 128 MB int64 histogram.
+    rng = rng_for(12, 2)
+    times = rng.uniform(0.0, 1.6e7, 1_000_000)
+    est, peak = _alloc_peak_mb(lambda: g2_from_counts(times, 1.0, 960.0))
+    assert peak < 64
+    assert abs(est.values[1:].mean() - 1.0) < 1e-3
 
 
 @settings(max_examples=60, deadline=None)
