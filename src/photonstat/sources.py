@@ -416,9 +416,8 @@ def make_trace(spec: SourceSpec, duration: float, dt: float, seed: int) -> Field
     return FieldTrace(samples, dt, spec.carrier_freq, derive_seed(seed), copy=False)
 
 
-def _fft_len(m: int, radix: int = 5) -> int:
-    """Smallest 5-smooth integer 2^a 3^b 5^c >= m, the zero-padded FFT length
-    (2^a 3^b when the largest radix is 3).
+def _fft_len(m: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= m, the zero-padded FFT length.
 
     Padding a length-n sequence to at least n + k_max + 1 points keeps
     circular lag correlations free of wrap-around up to lag k_max.
@@ -430,8 +429,6 @@ def _fft_len(m: int, radix: int = 5) -> int:
         while p35 < best:
             best = min(best, p35 << (-(-m // p35) - 1).bit_length())
             p35 *= 3
-        if radix < 5:
-            break
         p5 *= 5
     return best
 
@@ -488,17 +485,17 @@ def _block_lag_sums(x: np.ndarray, block: int, nb: int, max_lag: int, per_block=
     return _window_lag_sums(batches, block, max_lag, per_block)
 
 
-def _window_lag_sums(batches, block: int, max_lag: int, per_block=False, radix=5):
+def _window_lag_sums(batches, block: int, max_lag: int, per_block=False):
     """Lag sums of the pairs that start in the first L = block values of
     each window row, for k <= max_lag.
 
     Each batch is an array of rows w of L + max_lag values. Every row is
-    transformed once at m = _fft_len(L + 2 max_lag, radix) points and
-    |W|^2 inverted, less the lag sums of its overlap w[L:] (from
-    _fft_len(2 max_lag, radix) points). per_block returns one row of sums
+    transformed once at m = _fft_len(L + 2 max_lag) points and |W|^2
+    inverted, less the lag sums of its overlap w[L:] (from
+    _fft_len(2 max_lag) points). per_block returns one row of sums
     per window, else their sum; for the sum, spectra add up per batch.
     """
-    sizes = (_fft_len(block + 2 * max_lag, radix), _fft_len(2 * max_lag, radix))
+    sizes = (_fft_len(block + 2 * max_lag), _fft_len(2 * max_lag))
     rows = []
     for chunk in batches:
         real = not np.iscomplexobj(chunk)

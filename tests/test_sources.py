@@ -197,12 +197,6 @@ def test_fft_len_is_smallest_five_smooth():
         assert _fft_len(m) == length
 
 
-def test_fft_len_radix_3_is_smallest_three_smooth():
-    three_smooth = sorted(2**a * 3**b for a in range(13) for b in range(8))
-    for m in range(1, 3_001):
-        assert _fft_len(m, radix=3) == next(k for k in three_smooth if k >= m), m
-
-
 def tunable_spec(target, power=1e-3):
     return SourceSpec(
         statistics="tunable",
