@@ -271,8 +271,9 @@ def _count_window(n_events: int, n_bins: int, k_max: int) -> int:
 
     Batched real transforms of these lengths ran fastest per point (2-vCPU
     x86, numpy 2.4): powers of two from 4096 up were ~25 % slower, and
-    2916 = 4 * 3^6 or 10125 = 3^4 5^3 slower too. Of the five from
-    max(6 k_max, 1024) up, the one of least expected transform work:
+    2916 = 4 * 3^6 or 10125 = 3^4 5^3 slower too. Of the five such lengths
+    from the shortest >= max(6 k_max, 1024), the one of least expected
+    transform work:
     m log m plus the same for the overlap per occupied window, with the
     occupied windows counted as if the events were a Poisson stream. Dense
     streams take long windows, so padding and overlaps weigh less; sparse

@@ -503,8 +503,7 @@ def _window_lag_sums(batches, block: int, max_lag: int, per_block=False):
         sums = []
         for part, size in zip((chunk, chunk[:, block:]), sizes):
             spec = fft(part, size)
-            power = spec.real**2
-            power += spec.imag**2
+            power = spec.real**2 + spec.imag**2
             power = power if per_block else power.sum(axis=0, keepdims=True)
             sums.append(_power_lag_sums(power, size, max_lag, real))
         rows.append(sums[0] - sums[1])
