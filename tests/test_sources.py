@@ -1,6 +1,7 @@
 """Field synthesis: statistics targets, coherence times, grid validation."""
 
 import dataclasses
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -222,6 +223,110 @@ def test_tunable_mean_power_preserved():
     tau_c = nominal_coherence_time("gaussian", BW)
     trace = make_trace(spec, 2_000 * tau_c, tau_c / 8, 11)
     assert trace.mean_power() == pytest.approx(4e-3, rel=1e-12)
+
+
+# The generators written as out-of-place expressions, a new array per step:
+# the reference the in-place generators must match to the last bit.
+def reference_renormalize(envelope, mean_power):
+    return envelope * np.sqrt(mean_power / np.mean(np.abs(envelope) ** 2))
+
+
+def reference_thermal(spec, n, dt, seed):
+    rng = rng_for(seed)
+    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+    freqs, fwhm = np.fft.fftfreq(n, dt), spec.bandwidth_hz
+    if spec.spectral_shape == "gaussian":
+        density = np.exp(-4.0 * np.log(2.0) * (freqs / fwhm) ** 2)
+    else:
+        density = 1.0 / (1.0 + (2.0 * freqs / fwhm) ** 2)
+    return reference_renormalize(np.fft.ifft(z * np.sqrt(density)), spec.mean_power)
+
+
+def reference_coherent(spec, n, dt, seed):
+    rng = rng_for(seed)
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    eps = spec.amplitude_noise
+    if eps == 0.0:
+        return np.full(n, np.sqrt(spec.mean_power) * phase)
+    amp = 1.0 + eps * rng.standard_normal(n)
+    return reference_renormalize(amp.astype(np.complex128) * phase, spec.mean_power)
+
+
+def reference_tunable(spec, n, dt, seed):
+    target_g2 = spec.target_g2
+    if target_g2 == 1.0:
+        return reference_coherent(dataclasses.replace(spec, amplitude_noise=0.0), n, dt, seed)
+    base = reference_thermal(spec, n, dt, seed)
+    if target_g2 == 2.0:
+        return base
+    tau_c = nominal_coherence_time(spec.spectral_shape, spec.bandwidth_hz)
+    seg = max(2, int(round(16.0 * tau_c / dt)))
+    n_seg = (n + seg - 1) // seg
+    rng = rng_for(seed, 1)
+    if target_g2 <= 2.0:
+        thermal_mask = np.repeat(rng.random(n_seg) < target_g2 - 1.0, seg)[:n]
+        seg_phase = np.repeat(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_seg)), seg)[:n]
+        envelope = np.where(thermal_mask, base, np.sqrt(spec.mean_power) * seg_phase)
+    else:
+        q = 2.0 / target_g2
+        on_mask = np.repeat(rng.random(n_seg) < q, seg)[:n]
+        envelope = np.where(on_mask, base / np.sqrt(q), 0.0)
+    return reference_renormalize(envelope, spec.mean_power)
+
+
+REFERENCE_GENERATORS = {
+    "thermal-gaussian": reference_thermal,
+    "coherent": reference_coherent,
+    # Only the renormalization of this generator works in place: the test
+    # swaps in reference_renormalize.
+    "pseudo-thermal": sources._pseudothermal,
+    "tunable": reference_tunable,
+}
+
+
+def every_class_spec(shape):
+    """One spec per generator branch: dfb at eps 0 and 0.1, every tunable one."""
+    base = thermal_spec(shape)
+    return [
+        base,
+        dataclasses.replace(base, statistics="coherent"),
+        dataclasses.replace(base, statistics="coherent", amplitude_noise=0.1),
+        dataclasses.replace(base, statistics="pseudo-thermal", mode_count=5),
+        *(
+            dataclasses.replace(base, statistics="tunable", target_g2=g2)
+            for g2 in (1.0, 1.3, 1.5, 2.0, 3.0)
+        ),
+    ]
+
+
+BIT_PIN_SPECS = every_class_spec("gaussian") + every_class_spec("lorentzian")
+
+
+# Tunable segments are 128 samples long at 8 samples per coherence time:
+# 20 001 samples end on a ragged segment of 33, 19 200 on a whole one.
+@pytest.mark.parametrize("n", [20_001, 19_200])
+@pytest.mark.parametrize("spec", BIT_PIN_SPECS)
+def test_make_trace_matches_out_of_place_reference_bits(monkeypatch, spec, n):
+    dt = nominal_coherence_time(spec.spectral_shape, spec.bandwidth_hz) / 8
+    trace = make_trace(spec, n * dt, dt, 29)
+    monkeypatch.setattr(sources, "_renormalize", reference_renormalize)
+    expected = REFERENCE_GENERATORS[spec.statistics](spec, n, dt, 29)
+    assert np.array_equal(trace.samples.view(np.uint64), expected.view(np.uint64))
+    intensity = np.abs(expected) ** 2
+    assert np.array_equal(trace.intensity().view(np.uint64), intensity.view(np.uint64))
+
+
+@pytest.mark.parametrize("spec", every_class_spec("gaussian") + [thermal_spec("lorentzian")])
+def test_make_trace_peak_memory_is_at_most_2_6_traces(spec):
+    dt = nominal_coherence_time(spec.spectral_shape, spec.bandwidth_hz) / 8
+    make_trace(spec, 1_000 * dt, dt, 3)  # first-call set-up is not synthesis
+    tracemalloc.start()
+    try:
+        trace = make_trace(spec, 500_000 * dt, dt, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * trace.samples.nbytes
 
 
 def test_coherence_time_gaussian():
