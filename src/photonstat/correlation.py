@@ -385,12 +385,16 @@ def g2_from_counts(
         )
     if not (times[-1] - times[0]) / bin_width < _MAX_BIN_INDEX:
         raise InvalidArgumentError("bin_width: the stream spans over 2^63 bins")
-    bin_idx = np.floor((times - times[0]) / bin_width).astype(np.int64)
+    # np.sort made times a copy of its own: bin it in place.
+    times -= times[0]
+    times /= bin_width
+    bin_idx = np.floor(times, out=times).astype(np.int64)
+    del times
     n_bins = int(bin_idx[-1]) + 1
     k_max = int(round(max_delay / bin_width))
     if k_max >= n_bins // 2:
         raise InvalidArgumentError("max_delay exceeds half the stream duration")
-    total = float(times.size)
+    total = float(bin_idx.size)
     mean_per_bin = total / n_bins
     raw = _count_lag_sums(bin_idx, n_bins, k_max)
     pair_counts = np.empty(k_max + 1)

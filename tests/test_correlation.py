@@ -357,7 +357,10 @@ def test_counts_match_direct_pair_counts(k_max):
     rng = rng_for(99, 3)
     times = np.sort(rng.uniform(0.0, 1.0, 4_000))
     bin_width = (times[-1] - times[0]) / 39_999.5
+    given = times.copy()
     est = g2_from_counts(times, bin_width, k_max * bin_width)
+    # Binning works in place on a copy: the caller's sorted array stays.
+    assert np.array_equal(times, given)
     pairs, n_bins = reference_pair_counts(times, bin_width, k_max)
     mean_per_bin = times.size / n_bins
     expected = pairs / (n_bins - np.arange(k_max + 1)) / mean_per_bin**2
