@@ -115,7 +115,8 @@ def _check_like_default(default, value, path: str) -> None:
 
     The default is the schema: a mapping needs a mapping, a boolean a
     boolean, an integer anything int() takes without rounding, a float
-    anything float() takes, and a list of numbers as many numbers.
+    anything float() takes, a string a string, a list of numbers as many
+    numbers and a list of names one or more strings.
     """
     if isinstance(default, dict):
         wanted, ok = "a mapping", False
@@ -125,10 +126,15 @@ def _check_like_default(default, value, path: str) -> None:
         kind = type(default)
         wanted = "an integer" if kind is int else "a number"
         ok = _converts(value, kind)
+    elif isinstance(default, str):
+        wanted, ok = "a string", isinstance(value, str)
     elif isinstance(default, list) and all(isinstance(d, float) for d in default):
         wanted = f"a list of {len(default)} numbers"
         ok = isinstance(value, list) and len(value) == len(default)
         ok = ok and all(_converts(v, float) for v in value)
+    elif isinstance(default, list):
+        wanted = "a non-empty list of names"
+        ok = isinstance(value, list) and value and all(isinstance(v, str) for v in value)
     else:
         return
     if not ok:
@@ -171,7 +177,15 @@ def load_config(path=None) -> dict:
 
 
 def _check_report_ranges(exp: dict) -> None:
-    """Refuse scale errors below 0 or not finite, and a band without lo <= hi."""
+    """Refuse a power grid without 0 < power_min_w <= power_max_w < inf and
+    n_powers >= 1, scale errors below 0 or not finite, and a band without
+    lo <= hi."""
+    p_min, p_max = float(exp["power_min_w"]), float(exp["power_max_w"])
+    if not (0 < p_min <= p_max < math.inf and int(exp["n_powers"]) >= 1):
+        raise ConfigError(
+            "experiment: the power grid needs 0 < power_min_w <= power_max_w, "
+            f"finite, and n_powers >= 1, got {p_min}, {p_max}, {exp['n_powers']}"
+        )
     scales = [float(exp[key]) for key in ("panel_scale_error", "arm_scale_error")]
     lo, hi = (float(v) for v in exp["ratio_band"])
     if not (all(0 <= s < math.inf for s in scales) and lo <= hi):  # NaN fails

@@ -135,6 +135,10 @@ def calibrate_dipole(
         * chain.overall_efficiency
         * chain.integration_time
     )
+    if not per_dipole > 0:
+        raise InvalidArgumentError(
+            "calibration: the chain detects no counts at the calibration power"
+        )
     return replace(absorber, dipole_sq=target_counts / per_dipole)
 
 

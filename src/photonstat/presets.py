@@ -132,6 +132,8 @@ def _resolve(presets: dict, build, kind: str, name: str, configured: dict, overr
     params = {**presets.get(base_name, {}), **entry}
     if build is not DetectionChain:  # the specs carry their name as label
         params.setdefault("label", name)
+        if not isinstance(params["label"], str):
+            raise ConfigError(f"{kind} entry {name!r}: label must be a string")
     try:
         return build(**params)
     except TypeError as exc:

@@ -1,14 +1,25 @@
 """Configuration loading, hashing, and the command-line surface."""
 
+import dataclasses
 import inspect
+import io
 import json
+import math
 import os
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photonstat
 
@@ -21,6 +32,9 @@ from photonstat.config import (
 )
 from photonstat import cli, errors
 from photonstat.errors import ConfigError
+from photonstat.instruments import DetectionChain
+from photonstat.sources import SourceSpec
+from photonstat.tpa import AbsorberSpec
 from photonstat.cli import main
 
 
@@ -479,6 +493,18 @@ def test_cli_accepts_largest_seed(tmp_path):
         "threads: two\n",
         "g2:\n  n_delays: many\n",
         "hbt:\n  realizations: true\n",
+        # Found by the fuzz test below; each ended in a traceback.
+        "experiment:\n  power_min_w: 0\n",
+        "experiment:\n  power_max_w: -1\n",
+        "experiment:\n  power_max_w: .inf\n",
+        "experiment:\n  n_powers: -1\n",
+        "experiment:\n  chain: [1.0]\n",
+        "experiment:\n  fluorophores: 5\n",
+        "experiment:\n  sources: []\n",
+        "hbt:\n  source: {}\n",
+        "sources:\n  sld: {label: 5}\n",
+        "absorbers:\n  DCM: {label: .nan}\n",
+        "chains:\n  paper-EMCCD: {quantum_efficiency: 0}\n",
     ],
 )
 def test_cli_rejects_non_numeric_config(tmp_path, capsys, yaml_text):
@@ -653,3 +679,97 @@ def test_cli_trace_mode_reference_source_first(tmp_path):
     keys = ("fluorophore", "ratio", "ratio_stderr", "within_band", "fits")
     for p1, p2 in zip(first["panels"], rebuilt["panels"]):
         assert {k: p2[k] for k in keys} == {k: p1[k] for k in keys}
+
+
+# A configuration small enough that a fuzzed CLI call takes milliseconds.
+_FUZZ_BASE = {
+    "simulate": {"duration_over_tauc": 2000.0},
+    "hbt": {"realizations": 2, "duration_over_tauc": 2000.0},
+    "experiment": {"n_powers": 4, "repeats": 2, "trace_duration_over_tauc": 500.0},
+}
+
+
+def _config_leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict) and value:
+            yield from _config_leaves(value, (*path, key))
+        else:
+            yield (*path, key)
+
+
+# Every value of the configuration, and the fields of one preset of each
+# kind (a same-name entry overrides its preset).
+_FUZZ_PATHS = sorted(
+    [
+        *_config_leaves(DEFAULT_CONFIG),
+        *(("sources", "sld", f.name) for f in dataclasses.fields(SourceSpec)),
+        *(("sources", "dfb", f.name) for f in dataclasses.fields(SourceSpec)),
+        *(("absorbers", "DCM", f.name) for f in dataclasses.fields(AbsorberSpec)),
+        *(("chains", "paper-EMCCD", f.name) for f in dataclasses.fields(DetectionChain)),
+    ]
+)
+_FUZZ_VALUES = [0, 0.0, -1, -2.5, math.nan, math.inf, -math.inf, "x", [], [1.0], {}, True, None]
+_FUZZ_COMMANDS = [
+    ["simulate"],
+    ["g2", "--trace", "trace_sld.pstt"],
+    ["gn", "--trace", "trace_sld.pstt", "--order", "3"],
+    ["hbt"],
+    ["sweep"],
+    ["reproduce-fig2"],
+    ["report"],
+]
+_NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+@pytest.fixture(scope="module")
+def fuzz_outputs(tmp_path_factory):
+    """A trace and reproduce-fig2 sweep CSVs of the base configuration."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "base.yaml").write_text(yaml.safe_dump(_FUZZ_BASE))
+    out = root / "template"
+    for command in (["simulate"], ["reproduce-fig2"]):
+        assert main([*command, "--config", str(root / "base.yaml"), "--out", str(out)]) == 0
+    return out
+
+
+def _with_value(tree: dict, path: tuple, value) -> dict:
+    """A copy of tree with value at path; a value on the path becomes {}."""
+    head, *rest = path
+    if not rest:
+        return {**tree, head: value}
+    child = tree.get(head)
+    return {**tree, head: _with_value(child if isinstance(child, dict) else {}, rest, value)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(_FUZZ_COMMANDS),
+    mutations=st.lists(
+        st.tuples(st.sampled_from(_FUZZ_PATHS), st.sampled_from(_FUZZ_VALUES)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_cli_fuzzed_config_exits_with_a_documented_code(fuzz_outputs, command, mutations):
+    config = _FUZZ_BASE
+    for path, value in mutations:
+        config = _with_value(config, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(fuzz_outputs, out)
+        cfg = Path(tmp) / "fuzz.yaml"
+        cfg.write_text(yaml.safe_dump(config))
+        args = [part.replace("trace_sld.pstt", str(out / "trace_sld.pstt")) for part in command]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), redirect_stdout(stdout), redirect_stderr(stderr):
+            os.environ.pop("PHOTONSTAT_SEED", None)
+            code = main([*args, "--config", str(cfg), "--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 2, 3, 4, 5), err
+        assert "Traceback" not in err
+        if code:
+            assert len([line for line in err.splitlines() if line.startswith("error [")]) == 1
+            return
+        for path in out.rglob("*"):
+            if path.suffix in (".csv", ".json", ".svg"):
+                assert not _NON_FINITE.search(path.read_text()), path.name
