@@ -363,18 +363,14 @@ def _write_sweep_csv(path: Path, sweep: SweepResult, metadata: str) -> None:
 
 
 def _read_sweep_csv(path: Path, config_hash: str) -> SweepResult:
-    """Read a reproduce-fig2 sweep CSV; refuse one of another config_hash."""
+    """Read a reproduce-fig2 sweep CSV. Refuse one without a "# ..."
+    metadata line naming this run's config_hash: nothing else shows that
+    its rows belong to this configuration."""
     records = []
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
-    if rows and rows[0][0].startswith("#"):
-        for item in ",".join(rows[0]).split():
-            key, _, value = item.partition("=")
-            if key == "config_hash" and value != config_hash:
-                raise FormatError(
-                    f"{path}: written under config_hash={value}, not this "
-                    f"run's {config_hash} (another config, seed or --noise)"
-                )
+    meta = ",".join(rows[0]) if rows and rows[0][0].startswith("#") else ""
+    written = dict(item.partition("=")[::2] for item in meta.split()).get("config_hash")
     rows = [r for r in rows if not r[0].startswith("#")]
     if not rows or rows[0] != ["P_exc_W", "counts", "repeat"]:
         raise FormatError(f"{path}: not a sweep CSV (bad header)")
@@ -384,9 +380,16 @@ def _read_sweep_csv(path: Path, config_hash: str) -> SweepResult:
             record = (float(p_exc), float(counts), int(rep))
         except ValueError:
             record = None
-        if record is None or not (0 < record[0] < np.inf and 0 <= record[1] < np.inf):
+        ok = record is not None and 0 < record[0] < np.inf and 0 <= record[1] < np.inf
+        # A repeat index numbers the records of one power: below the rows.
+        if not (ok and 0 <= record[2] < len(rows)):
             raise FormatError(f"{path}: malformed row {row!r}")
         records.append(record)
+    if written != config_hash:
+        raise FormatError(
+            f"{path}: written under config_hash={written}, not this run's "
+            f"{config_hash} (another config, seed or --noise)"
+        )
     fluor, _, source = path.stem.partition("__")
     power, count, repeat = np.array(records, dtype=float).reshape(-1, 3).T
     return SweepResult(source, fluor, power, count, repeat.astype(int))

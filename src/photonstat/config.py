@@ -19,8 +19,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import yaml
-
 from .errors import ConfigError
 from .instruments import DetectionChain
 from .presets import ABSORBER_PRESETS, CHAIN_PRESETS, SOURCE_PRESETS, _resolve
@@ -153,10 +151,16 @@ def _converts(value, kind) -> bool:
 
 
 def load_config(path=None) -> dict:
-    """Load a YAML config file over the defaults; None gives pure defaults."""
+    """Load a YAML config file over the defaults; None gives pure defaults.
+
+    PyYAML is imported only when a file is given, so a run on the defaults
+    never loads the parser.
+    """
     data = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is None:
         return data
+    import yaml
+
     try:
         with open(path) as fh:
             loaded = yaml.safe_load(fh)

@@ -134,6 +134,8 @@ def _block_bootstrap_se(
     (nb,) those of the denominator. Each replicate draws nb block indices
     once and resamples every numerator jointly with the denominator, so all
     m estimates share one resampling; the draw counts enter as weights.
+    A replicate without light, or out of float64 range, raises
+    DegenerateInputError: the SE is then not defined.
     """
     nb = den_blocks.size
     if nb < 2:
@@ -141,13 +143,20 @@ def _block_bootstrap_se(
     idx = rng.integers(0, nb, size=(n_reps, nb))
     idx += nb * np.arange(n_reps)[:, None]
     weights = np.bincount(idx.ravel(), minlength=n_reps * nb).reshape(n_reps, nb) / nb
-    reps = (weights @ num_blocks) / (weights @ den_blocks)[:, None] ** power
-    return np.std(reps, axis=0, ddof=1)
+    with np.errstate(all="ignore"):  # checked below
+        reps = (weights @ num_blocks) / (weights @ den_blocks)[:, None] ** power
+        errors = np.std(reps, axis=0, ddof=1)
+    if not np.all(np.isfinite(errors)):
+        raise DegenerateInputError(
+            "bootstrap: a resample of the trace blocks has no light or a "
+            "moment out of float64 range"
+        )
+    return errors
 
 
-def _intensity(trace: FieldTrace) -> np.ndarray:
-    if trace.mean_power() <= 0:
-        raise DegenerateInputError("trace has zero mean power")
+def _intensity(trace: FieldTrace, order: int) -> np.ndarray:
+    """The intensity, once trace.normalizer(order) accepts its scale."""
+    trace.normalizer(order)
     return trace.intensity()
 
 
@@ -186,7 +195,7 @@ def g2_tau(
     All delays share one bootstrap: nb = (n - max lag) // block_len blocks
     from the trace start, and one draw of nb block indices per replicate.
     """
-    intensity = _intensity(trace)
+    intensity = _intensity(trace, 2)
     n = intensity.size
     delays, lags = _sample_lags(delays, trace.dt, n)
     rounded = lags * trace.dt
@@ -200,7 +209,7 @@ def g2_tau(
     abs_lags, inverse = np.unique(np.abs(lags), return_inverse=True)
     nb = (n - int(abs_lags[-1])) // block_len
     totals, num_blocks = _intensity_lag_sums(intensity, abs_lags, block_len, nb)
-    values = totals / (n - abs_lags) / trace.mean_power() ** 2
+    values = totals / (n - abs_lags) / trace.normalizer(2)
     rng = rng_for(trace.seed_id, _BOOTSTRAP_STREAM)
     errors = _block_bootstrap_se(
         num_blocks, _block_means(intensity, block_len, nb), 2, n_bootstrap, rng
@@ -235,7 +244,9 @@ def _intensity_lag_sums(
         return totals, blocks
     rows = _block_lag_sums(intensity, block_len, nb, k_max, per_block=True)
     totals = rows.sum(axis=0) + _lag_sums(intensity[nb * block_len :], k_max)
-    return totals[lags], rows[:, lags] / block_len
+    # Sums of products of intensities are >= 0; an FFT leaves round-off of
+    # either sign where the products are all zero (a sparse trace).
+    return np.maximum(totals[lags], 0.0), np.maximum(rows[:, lags], 0.0) / block_len
 
 
 def gn_zero(
@@ -247,7 +258,7 @@ def gn_zero(
     """Estimate the zero-delay n-th order coherence <I^n>/<I>^n, 2 <= n <= 6."""
     if not 2 <= n <= 6:
         raise InvalidArgumentError("order must satisfy 2 <= n <= 6")
-    intensity = _intensity(trace)
+    intensity = _intensity(trace, n)
     if block_len is None:
         block_len = trace.bootstrap_block_len
     rng = rng_for(trace.seed_id, _BOOTSTRAP_STREAM, n)

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .instruments import DetectionChain, _poisson_counts, fluorescence_counts
 from .seeding import derive_seed, rng_for, thread_map
-from .sources import SourceSpec, make_trace, nominal_g2, trace_grid
+from .sources import _SMALLEST_NORMAL, SourceSpec, make_trace, nominal_g2, trace_grid
 from .tpa import AbsorberSpec, RatioEstimate, lineshape, rate_ratio
 
 __all__ = [
@@ -209,7 +209,8 @@ def fit_quadratic(sweep: SweepResult) -> FitResult:
 
     Weights are inverse Poisson variances, 1/max(counts, 1). The free
     exponent b of a x^b is fitted alongside whenever at least 5 distinct
-    powers span half a decade, as a power-law sanity check.
+    powers span half a decade, as a power-law sanity check. Powers at
+    which the weighted sum of x^4 is not a normal float64 are refused.
     """
     x = sweep.power
     y = sweep.count
@@ -226,7 +227,13 @@ def fit_quadratic(sweep: SweepResult) -> FitResult:
             f"counts are {y[0]:g} at every power; no power law to fit"
         )
     weights = 1.0 / np.maximum(y, 1.0)
-    sw_x4 = float(np.sum(weights * x**4))
+    with np.errstate(over="ignore"):  # checked below
+        sw_x4 = float(np.sum(weights * x**4))
+    if not _SMALLEST_NORMAL <= sw_x4 < np.inf:
+        raise EstimationError(
+            f"powers {distinct[0]:g} to {distinct[-1]:g} W are out of range for "
+            f"the fit: the weighted sum of their 4th powers is {sw_x4:g}"
+        )
     a = float(np.sum(weights * y * x**2)) / sw_x4
     a_stderr = float(np.sqrt(1.0 / sw_x4))
     residuals = y - a * x**2
@@ -234,7 +241,7 @@ def fit_quadratic(sweep: SweepResult) -> FitResult:
     dof = int(y.size - 1)
     stats = {"chi2": chi2, "dof": dof, "chi2_reduced": chi2 / max(dof, 1)}
     exponent = None
-    span_decades = np.log10(distinct.max() / distinct.min())
+    span_decades = np.log10(distinct[-1]) - np.log10(distinct[0])
     if distinct.size >= 5 and span_decades >= 0.5:
         # Rescale x to order unity so the power-law fit is well conditioned.
         x_ref = float(np.exp(np.mean(np.log(x))))
@@ -256,6 +263,8 @@ _FIT_TRUSTED_STEP = 1e-3
 _FIT_MAX_ITER = 100
 
 
+# Its steps test every sum that can overflow (det, the Hessian, the cost).
+@np.errstate(over="ignore", invalid="ignore")
 def _fit_power_law(log_u: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple:
     """(b, stderr of b) of the weighted least-squares fit of y = A u^b.
 
@@ -263,11 +272,13 @@ def _fit_power_law(log_u: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple:
     line by Newton steps (Gauss-Newton where the Hessian is not positive
     definite), halving any step that does not lower the sum. The error is
     the b entry of inv(J^T W J), the weights taken as absolute inverse
-    variances, as curve_fit(..., absolute_sigma=True) reports it.
+    variances, as curve_fit(..., absolute_sigma=True) reports it. A fit
+    whose b or error is not finite raises EstimationError.
     """
     pos = y > 0
     lx, ly, lw = log_u[pos], np.log(y[pos]), w[pos] * y[pos] ** 2
-    if np.unique(lx).size < 2:
+    # Not np.unique: on numpy 2.x its plain form imports numpy.ma (~15 ms).
+    if lx.size < 2 or lx.min() == lx.max():
         raise DegenerateInputError("power-law fit needs counts at 2 or more powers")
     # Start from the line log y = log A + b log u, weighted by 1/var(log y).
     dx = lx - np.dot(lw, lx) / lw.sum()
@@ -301,7 +312,10 @@ def _fit_power_law(log_u: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple:
         # Step length in units of the parameters' standard errors.
         size = np.sqrt(max(step_a**2 * det / n_bb, step_b**2 * det / n_aa))
         if size <= _FIT_STEP_TOL:
-            return float(b), float(np.sqrt(n_aa / det))
+            b_stderr = float(np.sqrt(n_aa / det))
+            if not np.isfinite(b + b_stderr):
+                break
+            return float(b), b_stderr
         while True:
             trial = np.exp(log_a + step_a + (b + step_b) * log_u)
             trial_resid = y - trial
@@ -311,7 +325,7 @@ def _fit_power_law(log_u: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple:
             step_a, step_b, size = step_a / 2.0, step_b / 2.0, size / 2.0
         log_a, b = log_a + step_a, b + step_b
         model, resid, cost = trial, trial_resid, trial_cost
-    raise EstimationError("power-law fit did not converge")
+    raise EstimationError("power-law fit did not converge to a finite exponent")
 
 
 def enhancement_ratio(fit_numer: FitResult, fit_denom: FitResult) -> RatioEstimate:

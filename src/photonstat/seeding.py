@@ -9,8 +9,6 @@ never on execution order or thread count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 __all__ = ["derive_seed", "rng_for", "thread_map"]
@@ -29,8 +27,14 @@ def rng_for(master_seed: int, *indices: int) -> np.random.Generator:
 
 
 def thread_map(func, items, threads: int = 1) -> list:
-    """[func(item) for item in items], computed on up to threads threads."""
+    """[func(item) for item in items], computed on up to threads threads.
+
+    concurrent.futures (and the logging it loads) is imported only when
+    threads > 1, so a single-threaded process never loads the pool.
+    """
     if threads <= 1:
         return [func(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(func, items))

@@ -61,6 +61,7 @@ _CHUNK_POINTS = 1 << 20
 # Margin of the no-decay certificate over G1_DECAY_THRESHOLD, far above the
 # rounding of the sums it is computed from.
 _CERTIFICATE_MARGIN = 1e-9
+_SMALLEST_NORMAL = float(np.finfo(np.float64).smallest_normal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +75,13 @@ class FieldTrace:
     A trace is an immutable value. samples is a read-only complex128 array:
     a copy of the caller's array, or with copy=False the array itself (the
     generators and read_trace hand over arrays nobody else holds). NaN and
-    inf samples are refused. What is derived from the samples is computed
-    on first use and cached: intensity(), mean_power(), moment(n), the
-    coherence_time (or its EstimationError) and bootstrap_block_len (from
-    that whole-trace coherence time). A field dominated by its mean, such
-    as coherent light, is shown not to decay in O(n), with no lag sum.
+    inf samples are refused, as are a total power sum |E|^2 that overflows,
+    a dt that is not a normal float and a duration that is not finite.
+    What is derived from the samples is computed on first use and cached:
+    intensity(), mean_power(), moment(n), the coherence_time (or its
+    EstimationError) and bootstrap_block_len (from that whole-trace
+    coherence time). A field dominated by its mean, such as coherent light,
+    is shown not to decay in O(n), with no lag sum.
     """
 
     samples: np.ndarray
@@ -90,16 +93,19 @@ class FieldTrace:
     def __post_init__(self, copy: bool) -> None:
         convert = np.array if copy else np.asarray
         samples = convert(self.samples, dtype=np.complex128)
-        if not 0 < self.dt < math.inf:
-            raise InvalidArgumentError("dt must be positive and finite")
         if not math.isfinite(self.carrier_freq):
             raise InvalidArgumentError("carrier_freq must be finite")
         if samples.ndim != 1 or samples.size < 2:
             raise InvalidArgumentError("a trace needs a 1-D array of 2 or more samples")
-        # One reduction instead of an n-sized boolean temporary; a sum of
-        # finite samples that overflows is refused too.
-        if not np.isfinite(samples.sum()):
-            raise InvalidArgumentError("samples must be finite")
+        if not (_SMALLEST_NORMAL <= self.dt and samples.size * self.dt < math.inf):
+            raise InvalidArgumentError(
+                "dt must be a positive normal float and the duration finite"
+            )
+        # One reduction, sum |E|^2, instead of an n-sized boolean temporary:
+        # NaN or inf samples make it non-finite, and so does a total power
+        # that overflows.
+        if not math.isfinite(np.vdot(samples, samples).real):
+            raise InvalidArgumentError("samples and their total power must be finite")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "_moments", {})
@@ -133,16 +139,39 @@ class FieldTrace:
         """<I^n> in W^n, or <I^n>/<I>^n when normalized; cached per n.
 
         Raw moments are the float of np.mean of I^n over the whole trace, so
-        every caller gets the same bits. Normalizing a trace with zero mean
-        power raises DegenerateInputError.
+        every caller gets the same bits. Normalizing raises
+        DegenerateInputError where normalizer(n) does, before I^n is formed.
         """
+        if normalized:
+            scale = self.normalizer(n)  # first: refuses a scale where I^n overflows
+            return self.moment(n) / scale
         if n not in self._moments:
             self.intensity_power(n)
-        if not normalized:
-            return self._moments[n]
-        if self.moment(1) <= 0:
+        return self._moments[n]
+
+    def normalizer(self, order: int) -> float:
+        """<I>^order, the denominator of an order-`order` coherence.
+
+        Raises DegenerateInputError for zero mean power, and for an
+        intensity scale at which <I>^order is not a normal float or at which
+        a sum of up to 4N products of `order` intensities (N samples) could
+        overflow: each product is at most (N <I>)^order, and the FFT lag
+        sums of g2_tau add fewer terms.
+        """
+        mean = self.moment(1)
+        if mean <= 0:
             raise DegenerateInputError("trace has zero mean power")
-        return self._moments[n] / self._moments[1] ** n
+        n = self.samples.size
+        try:
+            scale, top = mean**order, 4 * n * (n * mean) ** order
+        except OverflowError:
+            scale = top = math.inf
+        if not (_SMALLEST_NORMAL <= scale and top < math.inf):
+            raise DegenerateInputError(
+                f"mean power {mean:.3g} W of {n} samples is out of float64 "
+                f"range for order-{order} coherence; rescale the trace"
+            )
+        return scale
 
     def mean_power(self) -> float:
         """<I> in W, moment(1)."""
@@ -566,13 +595,14 @@ def _g1_floor(samples: np.ndarray) -> float:
     bounds each cross term by |mu| s sqrt(n / (n - k)) and the last term by
     s^2 n / (n - k); with n - k >= n / 2 that gives
     |g1(k)| >= (|mu|^2 - 2 sqrt(2) |mu| s - 2 s^2) / P. NaN where P is
-    zero or subnormal (its rounding is then not relative) or overflows.
+    zero or subnormal (its rounding is then not relative), or so large that
+    a lag sum, up to 4 n^2 P, could overflow.
     """
     n = samples.size
     mean = complex(samples.mean())
     mean_sq = mean.real * mean.real + mean.imag * mean.imag
     power = float(np.vdot(samples, samples).real) / n
-    if not power >= np.finfo(np.float64).smallest_normal:
+    if not (_SMALLEST_NORMAL <= power and 4.0 * n * n * power < math.inf):
         return math.nan
     spread_sq = max(power - mean_sq, 0.0)
     bound = mean_sq - 2.0 * math.sqrt(2.0 * mean_sq * spread_sq) - 2.0 * spread_sq
@@ -580,8 +610,10 @@ def _g1_floor(samples: np.ndarray) -> float:
 
 
 def _coherence_time(samples: np.ndarray, dt: float) -> float | None:
-    """coherence_time of these samples, or None if |g1| never decays."""
-    if _g1_floor(samples) > G1_DECAY_THRESHOLD + _CERTIFICATE_MARGIN:
+    """coherence_time of these samples, or None if |g1| never decays or is
+    out of float64 range (see _g1_floor)."""
+    floor = _g1_floor(samples)
+    if math.isnan(floor) or floor > G1_DECAY_THRESHOLD + _CERTIFICATE_MARGIN:
         return None
     half = samples.size // 2
     for max_lag in sorted({min(_LAG_BLOCK // 4, half), half}):

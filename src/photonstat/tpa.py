@@ -16,6 +16,7 @@ units fixed by the dipole constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,11 +146,23 @@ def mpa_rate_timedomain(trace: FieldTrace, n: int, scale_const: float) -> float:
 def rate_ratio(
     rate_a: float, rate_b: float, stderr_a: float = 0.0, stderr_b: float = 0.0
 ) -> RatioEstimate:
-    """rate_a / rate_b with first-order error propagation."""
+    """rate_a / rate_b with first-order error propagation.
+
+    Raises DivisionDomainError for rate_b <= 0 and for a ratio or error
+    that is not a finite float64.
+    """
     if rate_b <= 0:
         raise DivisionDomainError("denominator rate must be positive")
     if stderr_a < 0 or stderr_b < 0:
         raise InvalidArgumentError("standard errors must be >= 0")
+    rate_a, rate_b, stderr_a, stderr_b = map(float, (rate_a, rate_b, stderr_a, stderr_b))
     value = rate_a / rate_b
-    variance = (stderr_a / rate_b) ** 2 + (rate_a * stderr_b / rate_b**2) ** 2
-    return RatioEstimate(float(value), float(np.sqrt(variance)))
+    try:
+        variance = (stderr_a / rate_b) ** 2 + (rate_a * stderr_b / rate_b**2) ** 2
+    except (OverflowError, ZeroDivisionError):  # rate_b**2 underflows to 0
+        variance = math.inf
+    if not (math.isfinite(value) and variance < math.inf):
+        raise DivisionDomainError(
+            f"rate ratio {rate_a:g} / {rate_b:g} or its error overflows float64"
+        )
+    return RatioEstimate(value, float(np.sqrt(variance)))

@@ -8,9 +8,11 @@ import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -574,6 +576,56 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert (tmp_path / "o" / "sweep_DCM__sld.json").exists()
 
 
+# The README quick start at --threads 1 without --config, then one threaded
+# hbt and one run with a config file, in one fresh interpreter; after each
+# stage it prints which of PyYAML and the thread pool are loaded.
+_STARTUP = """
+import sys
+from photonstat.cli import main
+
+def stage(name, *runs):
+    for argv in runs:
+        assert main([*argv, "--seed", "7"]) == 0, argv
+    lazy = [m for m in ("yaml", "concurrent.futures") if m in sys.modules]
+    print("loaded", name, lazy)
+
+stage(
+    "readme",
+    ["simulate", "--out", "out", "--threads", "1"],
+    ["g2", "--trace", "out/trace_sld.pstt", "--out", "out", "--threads", "1"],
+    ["gn", "--trace", "out/trace_sld.pstt", "--order", "4", "--out", "out", "--threads", "1"],
+    ["hbt", "--out", "out", "--threads", "1"],
+    ["sweep", "--source", "sld", "--fluorophore", "DCM", "--out", "out", "--threads", "1"],
+    ["reproduce-fig2", "--out", "out/fig2", "--threads", "1"],
+    ["report", "--out", "out/fig2", "--threads", "1"],
+)
+stage("threads", ["hbt", "--out", "out", "--threads", "2"])
+stage("config", ["gn", "--trace", "out/trace_sld.pstt", "--order", "2", "--config", "c.yaml"])
+"""
+
+
+def test_cli_loads_yaml_and_the_thread_pool_only_when_used(tmp_path):
+    (tmp_path / "c.yaml").write_text("output_dir: out\n")
+    src = str(Path(photonstat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PHOTONSTAT_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stages = [line for line in proc.stdout.splitlines() if line.startswith("loaded ")]
+    assert stages == [
+        "loaded readme []",
+        "loaded threads ['concurrent.futures']",
+        "loaded config ['yaml', 'concurrent.futures']",
+    ]
+
+
 @pytest.mark.parametrize(
     "command, yaml_text",
     [
@@ -773,3 +825,194 @@ def test_cli_fuzzed_config_exits_with_a_documented_code(fuzz_outputs, command, m
         for path in out.rglob("*"):
             if path.suffix in (".csv", ".json", ".svg"):
                 assert not _NON_FINITE.search(path.read_text()), path.name
+
+
+def _run_quietly(args: list) -> tuple:
+    """(exit code, stderr, warning messages) of one in-process CLI call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(stdout), redirect_stderr(stderr):
+        os.environ.pop("PHOTONSTAT_SEED", None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([str(a) for a in args])
+    return code, stderr.getvalue(), [str(w.message) for w in caught]
+
+
+def _assert_clean_outcome(code: int, err: str, caught: list, out: Path, codes) -> None:
+    """A documented exit code, no traceback or warning, one error line on
+    failure and no NaN or inf in the text artifacts of a success."""
+    assert code in codes, err
+    assert "Traceback" not in err
+    assert caught == []
+    if code:
+        assert len([line for line in err.splitlines() if line.startswith("error [")]) == 1
+        return
+    for path in out.rglob("*"):
+        if path.suffix in (".csv", ".json", ".svg"):
+            assert not _NON_FINITE.search(path.read_text()), path.name
+
+
+_TRACE_HEADER = struct.Struct("<4sIddQQ")
+_TRACE_COMMANDS = [["g2"], *(["gn", "--order", str(k)] for k in range(2, 7))]
+
+
+def _fuzzed_trace(template: bytes, fields: dict, keep, scale_exp, lit, flips) -> bytes:
+    """template with its header fields replaced, its samples cut to keep,
+    scaled by 10^scale_exp or all zero but the samples lit, then flips
+    (position, byte) applied to the whole file."""
+    header = list(_TRACE_HEADER.unpack(template[: _TRACE_HEADER.size]))
+    samples = np.frombuffer(template[_TRACE_HEADER.size :], dtype="<c16")[:keep].copy()
+    header[4] = samples.size
+    with np.errstate(over="ignore"):
+        samples *= 10.0 ** (scale_exp / 2) * 10.0 ** (scale_exp - scale_exp / 2)
+    if lit is not None and samples.size:
+        dark = np.zeros_like(samples)
+        dark[[i % samples.size for i in lit]] = 1e-3
+        samples = dark
+    for index, value in fields.items():
+        header[index] = value
+    data = bytearray(_TRACE_HEADER.pack(*header) + samples.tobytes())
+    for position, byte in flips:
+        data[position % len(data)] = byte
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(_TRACE_COMMANDS),
+    fields=st.dictionaries(
+        st.sampled_from([1, 2, 3, 4, 5]),
+        st.one_of(st.integers(0, 2**32 - 1), st.floats()),
+        max_size=2,
+    ),
+    keep=st.one_of(st.none(), st.integers(0, 400)),
+    scale_exp=st.integers(-340, 340),
+    lit=st.one_of(st.none(), st.lists(st.integers(0, 2**20), max_size=3)),
+    flips=st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 255)), max_size=3),
+)
+def test_cli_fuzzed_trace_exits_with_a_documented_code(
+    fuzz_outputs, command, fields, keep, scale_exp, lit, flips
+):
+    """Trace files with fuzzed header fields, lengths, sample scales,
+    sparse samples and bytes through g2 and gn. A trace can only be refused
+    as data (exit 3), or a configured delay range that it cannot hold (2)."""
+    template = (fuzz_outputs / "trace_sld.pstt").read_bytes()
+    # Header fields of the wrong kind for their struct slot keep the template's.
+    kinds = {1: int, 2: float, 3: float, 4: int, 5: int}
+    fields = {i: v for i, v in fields.items() if isinstance(v, kinds[i]) or kinds[i] is float}
+    fields = {i: v if kinds[i] is float else v % 2**32 for i, v in fields.items()}
+    data = _fuzzed_trace(template, fields, keep, scale_exp, lit, flips)
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, out = Path(tmp) / "t.pstt", Path(tmp) / "out"
+        trace.write_bytes(data)
+        code, err, caught = _run_quietly([*command, "--trace", trace, "--out", out])
+        _assert_clean_outcome(code, err, caught, out, (0, 2, 3))
+        if code == 2:
+            assert "max_delay" in err
+
+
+@pytest.mark.parametrize(
+    "scale_exp, lit, fields",
+    [
+        (150, None, {}),  # |E| ~ 1e147: <I>^2 overflows (was an OverflowError)
+        (-100, None, {}),  # <I>^2 underflows (was NaN with exit 0, or a ZeroDivisionError)
+        (-170, None, {}),  # |E|^2 underflows to 0
+        (0, [7], {}),  # one sample with light: negative FFT round-off (was exit 2)
+        (0, [7, 9000], {}),  # a bootstrap resample without light (was NaN)
+        (0, None, {2: 5e-324}),  # subnormal dt (was exit 2)
+        (0, None, {2: 1e305}),  # the duration overflows
+    ],
+)
+@pytest.mark.parametrize("command", [["g2"], ["gn", "--order", "4"]])
+def test_cli_refuses_traces_out_of_range_as_data(fuzz_outputs, tmp_path, command, scale_exp, lit, fields):
+    template = (fuzz_outputs / "trace_sld.pstt").read_bytes()
+    trace = tmp_path / "t.pstt"
+    trace.write_bytes(_fuzzed_trace(template, fields, None, scale_exp, lit, []))
+    code, err, caught = _run_quietly([*command, "--trace", trace, "--out", tmp_path / "o"])
+    assert code == 3, err
+    assert err.startswith("error [data-error]:") and err.count("\n") == 1
+    assert caught == []
+
+
+_SWEEP_CSVS = sorted(f"{f}__{s}.csv" for f in ("DCM", "CdTe-QD", "RhodamineB") for s in ("sld", "dfb"))
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.text(alphabet=st.characters(codec="ascii"), max_size=6),
+)
+
+
+def _fuzzed_sweep_csv(text: str, scale_exp: int, cells: list, keep, drop_meta: bool) -> str:
+    """A sweep CSV with its powers scaled by 10^scale_exp, cells replaced
+    (row, column, text), its rows cut to keep and its metadata line dropped."""
+    meta, header, *lines = text.splitlines()
+    rows = [line.split(",") for line in lines]
+    for row in rows:
+        row[0] = repr(float(row[0]) * 10.0**scale_exp)
+    for i, j, cell in cells:
+        rows[i % len(rows)][j % 3] = cell
+    body = [",".join(row) for row in rows[:keep]]
+    return "\n".join(([] if drop_meta else [meta]) + [header] + body) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(_SWEEP_CSVS),
+    scale_exp=st.integers(-300, 300),
+    cells=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 2), _CELLS), max_size=3),
+    keep=st.one_of(st.none(), st.integers(0, 8)),
+    drop_meta=st.booleans(),
+)
+def test_cli_fuzzed_sweep_csv_exits_with_a_documented_code(
+    fuzz_outputs, name, scale_exp, cells, keep, drop_meta
+):
+    """reproduce-fig2 sweep CSVs with fuzzed powers, cells, lengths and
+    metadata through report: a bad CSV is refused as data (exit 3)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(fuzz_outputs, out)
+        path = out / name
+        path.write_text(_fuzzed_sweep_csv(path.read_text(), scale_exp, cells, keep, drop_meta))
+        config = fuzz_outputs.parent / "base.yaml"
+        code, err, caught = _run_quietly(["report", "--config", config, "--out", out])
+        _assert_clean_outcome(code, err, caught, out, (0, 3))
+
+
+@pytest.mark.parametrize(
+    "scale_exp, cells, drop_meta, message",
+    [
+        (-200, [], False, "out of range for the fit"),  # was a ZeroDivisionError
+        (200, [], False, "out of range for the fit"),  # was NaN and inf with exit 0
+        (0, [(0, 2, str(10**30))], False, "malformed row"),  # was a cast warning
+        (0, [], True, "config_hash=None"),  # skipped the config_hash check
+    ],
+)
+def test_cli_report_refuses_out_of_range_sweep_csvs(fuzz_outputs, tmp_path, scale_exp, cells, drop_meta, message):
+    out = tmp_path / "out"
+    shutil.copytree(fuzz_outputs, out)
+    path = out / "DCM__sld.csv"
+    path.write_text(_fuzzed_sweep_csv(path.read_text(), scale_exp, cells, None, drop_meta))
+    config = fuzz_outputs.parent / "base.yaml"
+    code, err, caught = _run_quietly(["report", "--config", config, "--out", out])
+    assert code == 3, err
+    assert err.startswith("error [data-error]:") and err.count("\n") == 1
+    assert message in err
+    assert caught == []
+
+
+def test_cli_g2_of_a_sparse_trace_is_never_negative(tmp_path):
+    # Light in every 7th sample: the FFT path's lag sums between the lit
+    # samples are round-off of either sign (they were exit 2, "values and
+    # std_errors must be >= 0").
+    samples = np.zeros(16000, dtype="<c16")
+    samples[::7] = 1e-3
+    trace = tmp_path / "t.pstt"
+    trace.write_bytes(_TRACE_HEADER.pack(b"PSTT", 1, 1e-13, 1e15, samples.size, 1) + samples.tobytes())
+    code, err, caught = _run_quietly(
+        ["g2", "--trace", trace, "--out", tmp_path, "--max-delay", "1e-11", "--n-delays", "101"]
+    )
+    assert (code, caught) == (0, []), err
+    rows = (tmp_path / "g2.csv").read_text().splitlines()[2:]
+    values = np.array([float(row.split(",")[1]) for row in rows])
+    assert np.all((0.0 <= values[np.arange(101) % 7 != 0]) & (values[np.arange(101) % 7 != 0] < 1e-12))
+    assert np.allclose(values[::7], 7.0, rtol=0.01)

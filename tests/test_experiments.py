@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
 from photonstat.errors import (
+    EstimationError,
     InsufficientDataError,
     InvalidArgumentError,
     PhotonstatError,
@@ -64,6 +65,17 @@ def test_fit_exponent_gate():
     x = np.linspace(1e-4, 1.5e-4, 6)
     fit = fit_quadratic(make_sweep([(float(p), 2e9 * p**2, 0) for p in x]))
     assert fit.exponent_check is None
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_fit_refuses_powers_whose_fourth_powers_leave_float64(scale):
+    # These were a ZeroDivisionError and a fit of NaN and inf.
+    x = np.geomspace(1e-5, 1e-3, 8)
+    records = [(float(p) * scale, 3e9 * p**2, 0) for p in x]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="out of range for the fit"):
+            fit_quadratic(make_sweep(records))
 
 
 def test_fit_needs_data():

@@ -741,6 +741,29 @@ def test_trace_refuses_non_finite_samples(bad):
         FieldTrace(field, 1e-14, 1e15, 0)
 
 
+def test_trace_refuses_overflowing_power_and_abnormal_dt():
+    with pytest.raises(InvalidArgumentError, match="total power"):
+        FieldTrace(np.full(1_000, 1e160, dtype=complex), 1e-14, 1e15, 0)
+    for dt in (5e-324, 1e306):  # subnormal; a duration of 1e309 s
+        with pytest.raises(InvalidArgumentError, match="normal float"):
+            FieldTrace(np.ones(1_000, dtype=complex), dt, 1e15, 0)
+
+
+@pytest.mark.parametrize("scale, order", [(1e150, 2), (1e40, 6), (1e-100, 2), (1e-60, 4)])
+def test_normalized_moments_refuse_an_intensity_scale_out_of_range(scale, order):
+    # <I>^order or (n <I>)^order leaves the normal float64 range; these were
+    # an OverflowError (Python float power) or a ZeroDivisionError (0 / 0).
+    tau_c = nominal_coherence_time("gaussian", BW)
+    trace = make_trace(thermal_spec(), 2_000 * tau_c, tau_c / 8, 3)
+    scaled = FieldTrace(trace.samples * scale, trace.dt, trace.carrier_freq, 3)
+    with pytest.raises(DegenerateInputError, match="out of float64 range"):
+        scaled.moment(order, normalized=True)
+    with pytest.raises(DegenerateInputError, match="out of float64 range"):
+        gn_zero(scaled, order)
+    assert scaled.normalizer(1) == scaled.mean_power()
+    assert trace.normalizer(order) == trace.mean_power() ** order
+
+
 @pytest.mark.parametrize("shape", [(2, 4_000), (4_000, 1), ()])
 def test_trace_refuses_samples_that_are_not_1d(shape):
     # A 2-D array used to pass and break the estimators with a numpy

@@ -176,6 +176,11 @@ def test_rate_ratio_propagation():
         rate_ratio(1.0, 0.0)
     with pytest.raises(InvalidArgumentError):
         rate_ratio(1.0, 1.0, stderr_a=-0.1)
+    # A ratio or error beyond float64: were an OverflowError and a
+    # ZeroDivisionError of Python floats.
+    for args in [(1e300, 1e-300), (1.0, 1e-200, 1.0, 1.0), (1.0, 1e-170, 0.0, 1.0)]:
+        with pytest.raises(DivisionDomainError, match="overflows"):
+            rate_ratio(*args)
 
 
 def test_absorber_validation():
