@@ -103,8 +103,10 @@ class FieldTrace:
             )
         # One reduction, sum |E|^2, instead of an n-sized boolean temporary:
         # NaN or inf samples make it non-finite, and so does a total power
-        # that overflows.
-        if not math.isfinite(np.vdot(samples, samples).real):
+        # that overflows. einsum, not np.vdot: a BLAS call's threads spin
+        # against thread_map's workers (threaded hbt ran ~40 % slower).
+        flat = samples.view(np.float64) if samples.flags.c_contiguous else abs(samples)
+        if not math.isfinite(np.einsum("i,i->", flat, flat)):
             raise InvalidArgumentError("samples and their total power must be finite")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)

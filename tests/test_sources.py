@@ -742,8 +742,12 @@ def test_trace_refuses_non_finite_samples(bad):
 
 
 def test_trace_refuses_overflowing_power_and_abnormal_dt():
-    with pytest.raises(InvalidArgumentError, match="total power"):
-        FieldTrace(np.full(1_000, 1e160, dtype=complex), 1e-14, 1e15, 0)
+    huge = np.full(2_000, 1e160, dtype=complex)
+    for samples, copy in ((huge, True), (huge[::2], False)):
+        with pytest.raises(InvalidArgumentError, match="total power"):
+            FieldTrace(samples, 1e-14, 1e15, 0, copy=copy)
+    strided = np.ones(2_000, dtype=complex)[::2]
+    assert FieldTrace(strided, 1e-14, 1e15, 0, copy=False).mean_power() == 1.0
     for dt in (5e-324, 1e306):  # subnormal; a duration of 1e309 s
         with pytest.raises(InvalidArgumentError, match="normal float"):
             FieldTrace(np.ones(1_000, dtype=complex), dt, 1e15, 0)
