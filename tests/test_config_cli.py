@@ -880,10 +880,16 @@ def _fuzzed_trace(template: bytes, fields: dict, keep, scale_exp, lit, flips) ->
 @settings(max_examples=150, deadline=None)
 @given(
     command=st.sampled_from(_TRACE_COMMANDS),
-    fields=st.dictionaries(
-        st.sampled_from([1, 2, 3, 4, 5]),
-        st.one_of(st.integers(0, 2**32 - 1), st.floats()),
-        max_size=2,
+    # Header slots: 1 version (u32), 2 dt, 3 carrier, 4 count, 5 seed_id (u64).
+    fields=st.fixed_dictionaries(
+        {},
+        optional={
+            1: st.integers(0, 2**32 - 1),
+            2: st.floats(),
+            3: st.floats(),
+            4: st.integers(0, 2**64 - 1),
+            5: st.integers(0, 2**64 - 1),
+        },
     ),
     keep=st.one_of(st.none(), st.integers(0, 400)),
     scale_exp=st.integers(-340, 340),
@@ -897,10 +903,6 @@ def test_cli_fuzzed_trace_exits_with_a_documented_code(
     sparse samples and bytes through g2 and gn. A trace can only be refused
     as data (exit 3), or a configured delay range that it cannot hold (2)."""
     template = (fuzz_outputs / "trace_sld.pstt").read_bytes()
-    # Header fields of the wrong kind for their struct slot keep the template's.
-    kinds = {1: int, 2: float, 3: float, 4: int, 5: int}
-    fields = {i: v for i, v in fields.items() if isinstance(v, kinds[i]) or kinds[i] is float}
-    fields = {i: v if kinds[i] is float else v % 2**32 for i, v in fields.items()}
     data = _fuzzed_trace(template, fields, keep, scale_exp, lit, flips)
     with tempfile.TemporaryDirectory() as tmp:
         trace, out = Path(tmp) / "t.pstt", Path(tmp) / "out"
@@ -924,7 +926,9 @@ def test_cli_fuzzed_trace_exits_with_a_documented_code(
     ],
 )
 @pytest.mark.parametrize("command", [["g2"], ["gn", "--order", "4"]])
-def test_cli_refuses_traces_out_of_range_as_data(fuzz_outputs, tmp_path, command, scale_exp, lit, fields):
+def test_cli_refuses_traces_out_of_range_as_data(
+    fuzz_outputs, tmp_path, command, scale_exp, lit, fields
+):
     template = (fuzz_outputs / "trace_sld.pstt").read_bytes()
     trace = tmp_path / "t.pstt"
     trace.write_bytes(_fuzzed_trace(template, fields, None, scale_exp, lit, []))
@@ -934,7 +938,9 @@ def test_cli_refuses_traces_out_of_range_as_data(fuzz_outputs, tmp_path, command
     assert caught == []
 
 
-_SWEEP_CSVS = sorted(f"{f}__{s}.csv" for f in ("DCM", "CdTe-QD", "RhodamineB") for s in ("sld", "dfb"))
+_SWEEP_CSVS = sorted(
+    f"{f}__{s}.csv" for f in ("DCM", "CdTe-QD", "RhodamineB") for s in ("sld", "dfb")
+)
 _CELLS = st.one_of(
     st.floats().map(repr),
     st.integers().map(str),
@@ -987,7 +993,9 @@ def test_cli_fuzzed_sweep_csv_exits_with_a_documented_code(
         (0, [], True, "config_hash=None"),  # skipped the config_hash check
     ],
 )
-def test_cli_report_refuses_out_of_range_sweep_csvs(fuzz_outputs, tmp_path, scale_exp, cells, drop_meta, message):
+def test_cli_report_refuses_out_of_range_sweep_csvs(
+    fuzz_outputs, tmp_path, scale_exp, cells, drop_meta, message
+):
     out = tmp_path / "out"
     shutil.copytree(fuzz_outputs, out)
     path = out / "DCM__sld.csv"
@@ -1007,12 +1015,13 @@ def test_cli_g2_of_a_sparse_trace_is_never_negative(tmp_path):
     samples = np.zeros(16000, dtype="<c16")
     samples[::7] = 1e-3
     trace = tmp_path / "t.pstt"
-    trace.write_bytes(_TRACE_HEADER.pack(b"PSTT", 1, 1e-13, 1e15, samples.size, 1) + samples.tobytes())
-    code, err, caught = _run_quietly(
-        ["g2", "--trace", trace, "--out", tmp_path, "--max-delay", "1e-11", "--n-delays", "101"]
-    )
+    header = _TRACE_HEADER.pack(b"PSTT", 1, 1e-13, 1e15, samples.size, 1)
+    trace.write_bytes(header + samples.tobytes())
+    args = ["--trace", trace, "--out", tmp_path, "--max-delay", "1e-11", "--n-delays", "101"]
+    code, err, caught = _run_quietly(["g2", *args])
     assert (code, caught) == (0, []), err
     rows = (tmp_path / "g2.csv").read_text().splitlines()[2:]
     values = np.array([float(row.split(",")[1]) for row in rows])
-    assert np.all((0.0 <= values[np.arange(101) % 7 != 0]) & (values[np.arange(101) % 7 != 0] < 1e-12))
+    between = values[np.arange(101) % 7 != 0]
+    assert np.all((0.0 <= between) & (between < 1e-12))
     assert np.allclose(values[::7], 7.0, rtol=0.01)
