@@ -73,7 +73,6 @@ from .sources import (
     FieldTrace,
     SourceSpec,
     coherence_time,
-    estimate_bandwidth_hz,
     make_trace,
     nominal_coherence_time,
     nominal_g2,
@@ -128,7 +127,6 @@ __all__ = [
     "config_hash",
     "derive_seed",
     "enhancement_ratio",
-    "estimate_bandwidth_hz",
     "extract_g2",
     "fit_quadratic",
     "fluorescence_counts",

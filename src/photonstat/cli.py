@@ -241,7 +241,9 @@ def cmd_g2(cfg: RunConfig, args: argparse.Namespace) -> None:
     # n_samples / 2 + 1 delays whatever n_delays asks for.
     half = trace.n_samples // 2 * trace.dt
     if not 0 < max_delay < half:
-        raise ConfigError(
+        # A delay range taken from the trace is the trace's fault (exit 3).
+        error = ConfigError if args.max_delay is not None else InsufficientDataError
+        raise error(
             f"max_delay must be positive and below half the trace duration "
             f"({half:.6g} s), got {max_delay!r}"
         )
@@ -545,7 +547,6 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     panels = _config_order(panels, exp["fluorophores"])
     report = fig2_report(
         [(n, _config_order(found, exp["sources"])) for n, found in panels.items()],
-        cfg.master_seed,
         cfg.noise,
         float(exp["panel_scale_error"]),
         float(exp["arm_scale_error"]),

@@ -28,7 +28,7 @@ from .errors import (
 from .instruments import DetectionChain, _poisson_counts, fluorescence_counts
 from .seeding import derive_seed, rng_for, thread_map
 from .sources import _SMALLEST_NORMAL, SourceSpec, make_trace, nominal_g2, trace_grid
-from .tpa import AbsorberSpec, RatioEstimate, lineshape, rate_ratio
+from .tpa import AbsorberSpec, RatioEstimate, rate_ratio
 
 __all__ = [
     "SweepResult",
@@ -98,8 +98,6 @@ class Fig2Panel:
 @dataclass
 class Fig2Report:
     panels: list
-    master_seed: int
-    noise: bool
     ratio_band: tuple
     error_budget: dict
 
@@ -127,13 +125,9 @@ def calibrate_dipole(
     """
     if target_counts <= 0 or at_power_measured <= 0:
         raise InvalidArgumentError("calibration target and power must be positive")
-    p_exc = chain.power_correction_eta * at_power_measured
-    per_dipole = (
-        lineshape(absorber.omega_f, absorber)
-        * p_exc**2
-        * absorber.quantum_yield
-        * chain.overall_efficiency
-        * chain.integration_time
+    unit_dipole = replace(absorber, dipole_sq=1.0)
+    per_dipole = fluorescence_counts(
+        at_power_measured, 1.0, unit_dipole, replace(chain, dark_rate=0.0), 0, noise=False
     )
     if not per_dipole > 0:
         raise InvalidArgumentError(
@@ -377,7 +371,6 @@ def error_budget(noise: bool, panel_scale_error: float, arm_scale_error: float) 
 
 def fig2_report(
     panels: list,
-    master_seed: int,
     noise: bool,
     panel_scale_error: float,
     arm_scale_error: float,
@@ -391,7 +384,7 @@ def fig2_report(
     """
     panels = [fig2_panel(n, s, noise, arm_scale_error, ratio_band) for n, s in panels]
     budget = error_budget(noise, panel_scale_error, arm_scale_error)
-    return Fig2Report(panels, master_seed, noise, tuple(ratio_band), budget)
+    return Fig2Report(panels, tuple(ratio_band), budget)
 
 
 def _scale_factors(
@@ -489,6 +482,4 @@ def reproduce_fig2(
         (a.label, dict(zip(source_keys, sweeps[i * n_src : (i + 1) * n_src])))
         for i, a in enumerate(absorbers)
     ]
-    return fig2_report(
-        panels, master_seed, noise, panel_scale_error, arm_scale_error, ratio_band
-    )
+    return fig2_report(panels, noise, panel_scale_error, arm_scale_error, ratio_band)

@@ -42,7 +42,6 @@ __all__ = [
     "coherence_time",
     "nominal_coherence_time",
     "trace_grid",
-    "estimate_bandwidth_hz",
     "nominal_g2",
 ]
 
@@ -132,9 +131,14 @@ class FieldTrace:
         return self._intensity
 
     def intensity_power(self, n: int) -> np.ndarray:
-        """I^n (a new array for n > 1); its mean is cached as moment(n)."""
-        powered = self._intensity**n if n > 1 else self._intensity
-        self._moments.setdefault(n, float(np.mean(powered)))
+        """I^n (a new array for n > 1); its mean is cached as moment(n).
+        Raises DegenerateInputError where that mean overflows float64."""
+        with np.errstate(over="ignore"):
+            powered = self._intensity**n if n > 1 else self._intensity
+            mean = float(np.mean(powered))
+        if mean == math.inf:
+            raise DegenerateInputError(f"<I^{n}> overflows float64; rescale the trace")
+        self._moments.setdefault(n, mean)
         return powered
 
     def moment(self, n: int, normalized: bool = False) -> float:
@@ -657,53 +661,6 @@ def coherence_time(trace: FieldTrace) -> float:
             f"{G1_DECAY_THRESHOLD} within half the trace"
         )
     return tau_c
-
-
-def estimate_bandwidth_hz(trace: FieldTrace, n_segments: int = 64) -> float:
-    """FWHM of the field power spectrum, from a segment-averaged periodogram.
-
-    Used by absorber-model validity checks. A constant (coherent) envelope
-    returns one frequency bin, i.e. roughly 1/duration.
-    """
-    e = trace.samples
-    n = e.size
-    seg_len = max(16, n // n_segments)
-    n_whole = n // seg_len
-    if n_whole < 1:
-        raise InvalidArgumentError("trace too short for a spectral estimate")
-    segs = e[: n_whole * seg_len].reshape(n_whole, seg_len)
-    psd = np.mean(np.abs(np.fft.fft(segs, axis=1)) ** 2, axis=0)
-    psd = np.fft.fftshift(psd)
-    freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, trace.dt))
-    df = float(freqs[1] - freqs[0])
-
-    def _width_bins(spectrum: np.ndarray) -> float:
-        # Outermost half-maximum crossings. Interior noise dips do not
-        # matter; spurious outer bumps are suppressed by the averaging.
-        half = spectrum.max() / 2.0
-        above = np.flatnonzero(spectrum >= half)
-        i_lo, i_hi = int(above[0]), int(above[-1])
-
-        def _cross(i_out: int, i_in: int) -> float:
-            p_out, p_in = spectrum[i_out], spectrum[i_in]
-            if p_in == p_out:
-                return float(i_out)
-            return i_out + (half - p_out) / (p_in - p_out) * (i_in - i_out)
-
-        lo = _cross(i_lo - 1, i_lo) if i_lo > 0 else float(i_lo)
-        hi = _cross(i_hi + 1, i_hi) if i_hi < spectrum.size - 1 else float(i_hi)
-        return max(hi - lo, 1.0)
-
-    # Two passes: a rough width picks the smoothing window, then the FWHM
-    # is read off the smoothed spectrum. Per-bin periodogram noise would
-    # otherwise bias the peak (and so the half level) upward.
-    rough = _width_bins(psd)
-    kernel = max(1, int(round(rough / 8.0)))
-    if kernel > 1:
-        smoothed = np.convolve(psd, np.ones(kernel) / kernel, mode="same")
-    else:
-        smoothed = psd
-    return max(_width_bins(smoothed) * df, df)
 
 
 def nominal_g2(spec: SourceSpec) -> float:

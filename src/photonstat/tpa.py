@@ -11,7 +11,8 @@ so R is linear in g2(0) and quadratic in intensity. When the field
 bandwidth is small against delta_omega_f the same rate follows directly
 from the intensity trace as R = C * <I^2> with C = |D|^2 * L(2 omega);
 higher orders generalize to R_n = const * <I^n>. Rates are in arbitrary
-units fixed by the dipole constant.
+units fixed by the dipole constant. The check of that regime reads the
+field bandwidth from the trace's cached coherence time.
 """
 
 from __future__ import annotations
@@ -21,8 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionDomainError, InvalidArgumentError, ModelDomainError
-from .sources import FieldTrace, estimate_bandwidth_hz
+from .errors import (
+    DivisionDomainError,
+    EstimationError,
+    InvalidArgumentError,
+    ModelDomainError,
+)
+from .sources import FieldTrace, coherence_time, nominal_coherence_time
 
 __all__ = [
     "AbsorberSpec",
@@ -35,8 +41,9 @@ __all__ = [
     "BROADBAND_MIN_RATIO",
 ]
 
-# Minimum delta_omega_f / field-bandwidth ratio for the <I^2> reduction to
-# hold to a few percent.
+# Minimum delta_omega_f / field-bandwidth ratio for the <I^2> reduction:
+# ~1.4 % low for a Gaussian line. A Lorentzian line of FWHM dnu reads ~2 dnu,
+# so it needs delta_omega_f >= ~20 * 2 pi dnu, there ~9 % low.
 BROADBAND_MIN_RATIO = 10.0
 
 
@@ -108,7 +115,12 @@ def mollow_rate(
 def _check_broadband(trace: FieldTrace, absorber: AbsorberSpec, force: bool) -> None:
     if force:
         return
-    field_width = 2.0 * np.pi * estimate_bandwidth_hz(trace)
+    try:
+        tau_c = coherence_time(trace)
+    except EstimationError:  # no decay within half the trace: a narrow line
+        return
+    # tau_c * FWHM = sqrt(2 ln2 / pi) for a Gaussian line, so this is its FWHM.
+    field_width = 2.0 * np.pi * nominal_coherence_time("gaussian", tau_c)
     ratio = absorber.delta_omega_f / field_width
     if ratio < BROADBAND_MIN_RATIO:
         raise ModelDomainError(
@@ -125,7 +137,10 @@ def tpa_rate_timedomain(
 
     Valid in the broadband-final-state regime: the absorber linewidth must
     exceed the field bandwidth by at least BROADBAND_MIN_RATIO, otherwise
-    ModelDomainError is raised (force=True overrides). The returned rate is
+    ModelDomainError is raised (force=True skips the check). The bandwidth
+    is sqrt(2 ln2 / pi) / coherence_time(trace), a Gaussian line's FWHM;
+    a field that does not decay within half the trace passes as narrow.
+    The returned rate is
     C * <I^2> with C = dipole_sq * lineshape(2 * carrier), which equals
     mollow_rate evaluated with this trace's own g2(0) and mean power.
     """

@@ -35,7 +35,8 @@ from photonstat.config import (
 from photonstat import cli, errors
 from photonstat.errors import ConfigError
 from photonstat.instruments import DetectionChain
-from photonstat.sources import SourceSpec
+from photonstat.sources import FieldTrace, SourceSpec
+from photonstat.traceio import read_trace, write_trace
 from photonstat.tpa import AbsorberSpec
 from photonstat.cli import main
 
@@ -398,6 +399,21 @@ def test_cli_g2_refuses_max_delay_beyond_half_the_trace(tmp_path, capsys):
         assert len(err) == 1
         assert err[0].startswith("error [config-error]:")
         assert "half the trace duration" in err[0]
+
+
+def test_cli_g2_refuses_a_trace_too_short_for_its_default_delay_range(tmp_path, capsys):
+    # Without --max-delay the range is 15 coherence times of the trace, more
+    # than half of its first 64 samples: the trace is at fault (was exit 2).
+    out = tmp_path / "o"
+    assert run_cli(["simulate", "--out", out, "--seed", 7]) == 0
+    capsys.readouterr()
+    full = read_trace(out / "trace_sld.pstt")
+    short = tmp_path / "short.pstt"
+    write_trace(FieldTrace(full.samples[:64], full.dt, full.carrier_freq, full.seed_id), short)
+    for extra, code, name in (([], 3, "data-error"), (["--max-delay", "1e-9"], 2, "config-error")):
+        got, err = run_cli_error(capsys, ["g2", "--trace", short, "--out", out, *extra])
+        assert (got, len(err)) == (code, 1)
+        assert err[0].startswith(f"error [{name}]: max_delay must be positive and below half")
 
 
 def test_cli_grid_beyond_memory_is_config_error(tmp_path, capsys):
@@ -901,16 +917,15 @@ def test_cli_fuzzed_trace_exits_with_a_documented_code(
 ):
     """Trace files with fuzzed header fields, lengths, sample scales,
     sparse samples and bytes through g2 and gn. A trace can only be refused
-    as data (exit 3), or a configured delay range that it cannot hold (2)."""
+    as data (exit 3), also where g2's delay range, taken from the trace,
+    does not fit in it."""
     template = (fuzz_outputs / "trace_sld.pstt").read_bytes()
     data = _fuzzed_trace(template, fields, keep, scale_exp, lit, flips)
     with tempfile.TemporaryDirectory() as tmp:
         trace, out = Path(tmp) / "t.pstt", Path(tmp) / "out"
         trace.write_bytes(data)
         code, err, caught = _run_quietly([*command, "--trace", trace, "--out", out])
-        _assert_clean_outcome(code, err, caught, out, (0, 2, 3))
-        if code == 2:
-            assert "max_delay" in err
+        _assert_clean_outcome(code, err, caught, out, (0, 3))
 
 
 @pytest.mark.parametrize(

@@ -321,7 +321,7 @@ def test_report_noise_off_every_panel_is_two():
 def test_fig2_report_rebuilds_reproduce_fig2_and_skips_incomplete_panels():
     full = default_report(17, ratio_band=(1.9, 2.0))
     pairs = [(p.fluorophore, p.sweeps) for p in full.panels]
-    rebuilt = fig2_report(pairs, 17, True, 0.10, 0.02, (1.9, 2.0))
+    rebuilt = fig2_report(pairs, True, 0.10, 0.02, (1.9, 2.0))
     assert rebuilt.ratios() == full.ratios()
     assert rebuilt.error_budget == full.error_budget
     assert rebuilt.all_within_band == full.all_within_band
@@ -332,7 +332,7 @@ def test_fig2_report_rebuilds_reproduce_fig2_and_skips_incomplete_panels():
         (name, sweeps if panel.within_band else dict(list(sweeps.items())[:1]))
         for (name, sweeps), panel in zip(pairs, full.panels)
     ]
-    partial = fig2_report(pairs, 17, True, 0.10, 0.02, (1.9, 2.0))
+    partial = fig2_report(pairs, True, 0.10, 0.02, (1.9, 2.0))
     assert partial.all_within_band
     for panel, whole in zip(partial.panels, full.panels):
         if whole.within_band:

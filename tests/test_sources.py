@@ -29,7 +29,6 @@ from photonstat.sources import (
     _g1_floor,
     _lag_sums,
     coherence_time,
-    estimate_bandwidth_hz,
     make_trace,
     nominal_coherence_time,
     nominal_g2,
@@ -586,11 +585,6 @@ def test_short_duration_warns():
     tau_c = nominal_coherence_time("gaussian", BW)
     with pytest.warns(UserWarning):
         make_trace(spec, 50 * tau_c, tau_c / 8, 1)
-
-
-def test_bandwidth_estimate_round_trip():
-    trace = quick_trace(thermal_spec(), n_tauc=20_000, seed=9)
-    assert estimate_bandwidth_hz(trace) == pytest.approx(BW, rel=0.10)
 
 
 def test_wavelength_bandwidth_convention():

@@ -1,17 +1,28 @@
 """Absorption rates: lineshape normalization, statistics enhancement,
 validity checks, error propagation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from photonstat.errors import (
+    DegenerateInputError,
     DivisionDomainError,
     InvalidArgumentError,
     ModelDomainError,
 )
-from photonstat import tpa
-from photonstat.sources import FieldTrace, SourceSpec, make_trace, nominal_coherence_time
+from photonstat import sources
+from photonstat.correlation import gn_zero
+from photonstat.presets import absorber_preset, source_preset
+from photonstat.sources import (
+    FieldTrace,
+    SourceSpec,
+    make_trace,
+    nominal_coherence_time,
+    trace_grid,
+)
 from photonstat.tpa import (
     AbsorberSpec,
     lineshape,
@@ -146,6 +157,19 @@ def test_mpa_validation():
         mpa_rate_timedomain(trace, 2, 0.0)
 
 
+def test_raw_moments_refuse_an_overflowing_mean():
+    # |E| ~ 1e40 puts I^6 near 1e480: this was inf with an overflow
+    # RuntimeWarning, and so an infinite six-photon rate.
+    trace = thermal_trace(n_tauc=1_000, seed=9)
+    strong = FieldTrace(trace.samples * 1e40, trace.dt, trace.carrier_freq, 9)
+    for call in (strong.moment, strong.intensity_power):
+        with pytest.raises(DegenerateInputError, match="overflows float64"):
+            call(6)
+    with pytest.raises(DegenerateInputError, match="overflows float64"):
+        mpa_rate_timedomain(strong, 6, 1.0)
+    assert strong.moment(3) == pytest.approx(trace.moment(3) * 1e240, rel=1e-12)
+
+
 def test_narrowband_absorber_rejected():
     narrow = AbsorberSpec(OMEGA_F, 1e13, 1.0, 0.5, "narrow")
     trace = thermal_trace(n_tauc=2_000, seed=7)
@@ -154,17 +178,60 @@ def test_narrowband_absorber_rejected():
     assert tpa_rate_timedomain(trace, narrow, force=True) > 0
 
 
-def test_forced_rate_skips_the_bandwidth_estimate(monkeypatch):
-    # force=True overrides the broadband check, so its periodogram never runs.
-    def refuse(*args, **kwargs):
-        raise AssertionError("estimate_bandwidth_hz called")
+def refuse_coherence_pass(*args, **kwargs):
+    raise AssertionError("sources._coherence_time called")
 
-    monkeypatch.setattr(tpa, "estimate_bandwidth_hz", refuse)
+
+def test_forced_rate_skips_the_coherence_pass(monkeypatch):
+    # force=True overrides the broadband check, so no coherence pass runs.
+    monkeypatch.setattr(sources, "_coherence_time", refuse_coherence_pass)
     trace = thermal_trace(n_tauc=2_000, seed=8)
     narrow = AbsorberSpec(OMEGA_F, 1e13, 1.0, 0.5, "narrow")
     assert tpa_rate_timedomain(trace, narrow, force=True) > 0
     with pytest.raises(AssertionError):
         tpa_rate_timedomain(trace, narrow)
+
+
+SLD = source_preset("sld")
+PT_64 = replace(SLD, statistics="pseudo-thermal", mode_count=64)
+LORENTZ_BW = 5.0e12
+PRESETS_AND_NARROW = {
+    **{name: absorber_preset(name) for name in ("DCM", "CdTe-QD", "RhodamineB")},
+    "narrow": AbsorberSpec(OMEGA_F, 1e13, 1.0, 0.5, "narrow"),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, absorbers, refused",
+    [
+        (SLD, PRESETS_AND_NARROW, {"narrow"}),
+        (PT_64, PRESETS_AND_NARROW, {"narrow"}),
+        # A Lorentzian line reads ~2x its FWHM: refused at 10x, accepted at 25x.
+        (
+            SourceSpec("thermal-gaussian", 976e-9, LORENTZ_BW, "lorentzian"),
+            {k: AbsorberSpec(OMEGA_F, k * 2 * np.pi * LORENTZ_BW, 1.0, 0.5) for k in (10, 25)},
+            {10},
+        ),
+    ],
+    ids=["sld", "pt-64", "lorentzian"],
+)
+def test_broadband_check_is_deterministic_from_the_cached_coherence_time(
+    monkeypatch, spec, absorbers, refused
+):
+    _, duration, dt = trace_grid(spec, 5000.0, 8.0)
+    for seed in range(5):
+        trace = make_trace(spec, duration, dt, seed)
+        gn_zero(trace, 2)
+        with monkeypatch.context() as patch:
+            # The check reads the coherence time gn_zero cached: no second pass.
+            patch.setattr(sources, "_coherence_time", refuse_coherence_pass)
+            outcome = set()
+            for key, a in absorbers.items():
+                try:
+                    tpa_rate_timedomain(trace, a)
+                except ModelDomainError:
+                    outcome.add(key)
+        assert outcome == refused, f"seed {seed}"
 
 
 def test_rate_ratio_propagation():
