@@ -56,6 +56,11 @@ _BOOTSTRAP_STREAM = 0xB00F
 # 2-vCPU x86, numpy 2.4; 11, near their geometric middle, keeps either path
 # within ~1.7x of the cheaper one.
 _FFT_COST = 11
+# _count_lag_sums counts pair differences while pairs within k_max number
+# at most this many per point the occupied windows would transform. Both
+# feeders took equal time at 1.5-2 on bunched streams of 2e5 events, k_max
+# 100-1e4 (2-vCPU x86, numpy 2.4).
+_PAIR_COST = 1.5
 
 
 def _write_csv(path, metadata: str | None, header: list, rows) -> None:
@@ -278,27 +283,95 @@ def gn_zero(
 
 
 def _count_window(n_events: int, n_bins: int, k_max: int) -> int:
-    """The transform length m = L + 2 k_max of _count_lag_sums, 3 * 2^j.
+    """The transform length m = L + 2 k_max of the window feeders, 3 * 2^j.
 
     Batched real transforms of these lengths ran fastest per point (2-vCPU
     x86, numpy 2.4): powers of two from 4096 up were ~25 % slower, and
-    2916 = 4 * 3^6 or 10125 = 3^4 5^3 slower too. Of the five such lengths
-    from the shortest >= max(6 k_max, 1024), the one of least expected
-    transform work:
-    m log m plus the same for the overlap per occupied window, with the
-    occupied windows counted as if the events were a Poisson stream. Dense
-    streams take long windows, so padding and overlaps weigh less; sparse
-    ones short, so an isolated event costs little.
+    2916 = 4 * 3^6 or 10125 = 3^4 5^3 slower too. A stream with fewer
+    events than windows takes the shortest such length >= max(6 k_max,
+    1024), since each occupied window costs a transform. A denser one takes
+    the one of the five lengths from there with the least transform work
+    per bin: m log m plus the same for the overlap, over L.
     """
-    overlap = _fft_len(2 * k_max)
-
-    def cost(m):
-        block = m - 2 * k_max
-        occupied = -math.expm1(-n_events * block / n_bins) * n_bins / block
-        return max(1.0, occupied) * (m * math.log2(m) + overlap * math.log2(overlap))
-
     shortest = 3 << (-(-max(6 * k_max, 1024) // 3) - 1).bit_length()
-    return min((shortest << j for j in range(5)), key=cost)
+    if n_events * (shortest - 2 * k_max) < n_bins:
+        return shortest
+    overlap = _fft_len(2 * k_max)
+    work = overlap * math.log2(overlap)
+    return min(
+        (shortest << j for j in range(5)),
+        key=lambda m: (m * math.log2(m) + work) / (m - 2 * k_max),
+    )
+
+
+def _span_rows(bin_idx: np.ndarray, windows: int, block: int, k_max: int):
+    """Rows of _window_lag_sums for all windows of L = block bins, in
+    batches of about _CHUNK_POINTS transformed points: one np.bincount of
+    the bins [w0 L, w1 L + k_max) per batch, viewed as overlapping rows
+    (as floats: the transforms read them faster than int64)."""
+    step = max(1, _CHUNK_POINTS // (block + 2 * k_max))
+    for w0 in range(0, windows, step):
+        w1 = min(w0 + step, windows)
+        lo, hi = np.searchsorted(bin_idx, (w0 * block, w1 * block + k_max))
+        hist = np.bincount(
+            bin_idx[lo:hi] - w0 * block, minlength=(w1 - w0) * block + k_max
+        ).astype(float)
+        yield np.lib.stride_tricks.sliding_window_view(hist, block + k_max)[::block]
+
+
+def _listed_rows(bin_idx: np.ndarray, block: int, k_max: int):
+    """Rows of _window_lag_sums for the occupied windows of L = block bins
+    only, in batches as _span_rows: the events in [s, s + L + k_max) of
+    the window starting at bin s are gathered, keyed by row and offset,
+    and counted by one np.bincount per batch."""
+    width = block + k_max
+    starts = np.unique(bin_idx // block) * block
+    first = np.searchsorted(bin_idx, starts)
+    sizes = np.searchsorted(bin_idx, starts + width) - first
+    step = max(1, _CHUNK_POINTS // (block + 2 * k_max))
+    for r0 in range(0, starts.size, step):
+        size = sizes[r0 : r0 + step]
+        # Entry e of row r is event first[r] + e - (entries before row r).
+        shift = first[r0 : r0 + step] - np.cumsum(size) + size
+        keys = bin_idx[np.arange(size.sum()) + np.repeat(shift, size)]
+        keys -= np.repeat(starts[r0 : r0 + step] - np.arange(size.size) * width, size)
+        rows = np.bincount(keys, minlength=size.size * width).astype(float)
+        yield rows.reshape(-1, width)
+
+
+def _pair_lag_sums(bin_idx: np.ndarray, k_max: int, reach: np.ndarray) -> np.ndarray:
+    """Sums of c[t] c[t + k] counted from the differences of event pairs;
+    reach[i] is one past the last event within k_max bins of event i.
+
+    Only the events with a partner are listed, as lead[r]. With ends[r]
+    the pairs of the listed events up to r, event i = lead[r] owns the
+    pairs p in [ends[r] - partners[r], ends[r]), and pair p's partner is
+    event p + reach[i] - ends[r]. The differences are histogrammed in
+    chunks of _CHUNK_POINTS pairs; the N same-event products and both
+    orders of each same-bin pair make up lag 0. O(N + pairs), with no
+    transform.
+    """
+    partners = np.arange(1, bin_idx.size + 1)
+    np.subtract(reach, partners, out=partners)
+    lead = np.flatnonzero(partners)
+    partners = partners[lead]
+    ends = np.cumsum(partners)
+    shift = reach[lead] - ends
+    sums = np.zeros(k_max + 1, dtype=np.int64)
+    pairs = int(ends[-1]) if ends.size else 0
+    for p0 in range(0, pairs, _CHUNK_POINTS):
+        p1 = min(p0 + _CHUNK_POINTS, pairs)
+        r0, r1 = np.searchsorted(ends, (p0, p1 - 1), "right")
+        owners = slice(r0, r1 + 1)
+        first = np.maximum(ends[owners] - partners[owners], p0)
+        taken = np.minimum(ends[owners], p1) - first
+        partner = np.repeat(shift[owners], taken)
+        partner += np.arange(p0, p1)
+        diffs = bin_idx[partner]
+        diffs -= np.repeat(bin_idx[lead[owners]], taken)
+        sums += np.bincount(diffs, minlength=k_max + 1)
+    sums[0] = bin_idx.size + 2 * sums[0]
+    return sums.astype(float)
 
 
 def _count_lag_sums(bin_idx: np.ndarray, n_bins: int, k_max: int) -> np.ndarray:
@@ -306,51 +379,31 @@ def _count_lag_sums(bin_idx: np.ndarray, n_bins: int, k_max: int) -> np.ndarray:
     sorted bin indices equal to t (all below n_bins); exact integers, as
     floats.
 
-    The windows of _window_lag_sums are built from the events: bin e lands
-    at offset e - wL of window w = e // L, and at offset L + e - wL of
-    window w - 1 when e - wL < k_max (L >= 4 k_max). Only windows holding
-    an event are listed (the others sum to zero), one np.bincount per
-    batch of about _CHUNK_POINTS points, and bins past the last event
-    count as zeros. Memory is O(events + one batch) and time follows the
-    occupied windows. Rounding the sums makes the counts independent of
-    the window length (_count_window).
+    Three exact feeders, picked from counts of the stream itself. With at
+    least as many events as windows of L = m - 2 k_max bins (_count_window),
+    every window goes to _window_lag_sums, each batch from one histogram
+    of its span (_span_rows). Otherwise, with at most _PAIR_COST pairs
+    within k_max per point the occupied windows would transform, the pair
+    differences are counted directly (_pair_lag_sums); failing that, only
+    the occupied windows are built and transformed (_listed_rows). Beside
+    bin_idx, memory is a few event-sized index arrays at most and one batch
+    of about _CHUNK_POINTS points; the windows' float sums are rounded.
     """
     m = _count_window(bin_idx.size, n_bins, k_max)
     block = m - 2 * k_max
-    width = block + k_max
+    windows = -(-n_bins // block)
+    if bin_idx.size >= windows:
+        rows = _span_rows(bin_idx, windows, block, k_max)
+        return np.rint(_window_lag_sums(rows, block, k_max))
     window = bin_idx // block
-    starts = np.empty(window.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(window[1:], window[:-1], out=starts[1:])
-    first = np.flatnonzero(starts)
-    occupied = window[first]
-    row = np.repeat(np.arange(first.size), np.diff(first, append=window.size))
-    offset = window * block
-    np.subtract(bin_idx, offset, out=offset)
-    # Events in the first k_max bins of window w whose window w - 1 is
-    # listed too, as row - 1.
-    lead = np.flatnonzero(offset < k_max)
-    lead = lead[row[lead] > 0]
-    lead = lead[occupied[row[lead] - 1] == window[lead] - 1]
-    del window, starts, first
-    # Key row * width + offset; w - 1 holds the same bin at key - k_max.
-    keys = row
-    keys *= width
-    keys += offset
-    del offset
-    keys = (keys, keys[lead] - k_max)
-    step = max(1, _CHUNK_POINTS // m)
-
-    def batches():
-        for r0 in range(0, occupied.size, step):
-            rows = min(step, occupied.size - r0)
-            lo, hi = r0 * width, (r0 + rows) * width
-            part = np.concatenate(
-                [k[np.searchsorted(k, lo) : np.searchsorted(k, hi)] for k in keys]
-            )
-            yield np.bincount(part - lo, minlength=rows * width).reshape(rows, width)
-
-    return np.rint(_window_lag_sums(batches(), block, k_max))
+    occupied = 1 + np.count_nonzero(window[1:] != window[:-1])
+    del window
+    reach = np.searchsorted(bin_idx, bin_idx + k_max, "right")
+    pairs = int(reach.sum()) - bin_idx.size * (bin_idx.size + 1) // 2
+    if pairs <= _PAIR_COST * occupied * m:
+        return _pair_lag_sums(bin_idx, k_max, reach)
+    del reach
+    return np.rint(_window_lag_sums(_listed_rows(bin_idx, block, k_max), block, k_max))
 
 
 # Bin indices below this float (2^63) cast to int64 exactly.
@@ -371,8 +424,10 @@ def g2_from_counts(
 
     The pair counts are exact integers, taken from the sorted events with
     no histogram of the whole stream (_count_lag_sums): memory follows the
-    number of events, not duration / bin_width, and stretches with no
-    events cost nothing.
+    number of events, not duration / bin_width. Dense streams are
+    histogrammed one batch of windows at a time, isolated events cost
+    O(events + pairs) through their pair differences, and stretches with
+    no events cost nothing. Timestamps already in order skip the sort.
     """
     for name, value in (("bin_width", bin_width), ("max_delay", max_delay)):
         if not 0 < value < np.inf:
@@ -381,11 +436,15 @@ def g2_from_counts(
         raise InvalidArgumentError("max_delay must be at least one bin")
     if not max_delay / bin_width < _MAX_BIN_INDEX:
         raise InvalidArgumentError("max_delay / bin_width: over 2^63 bins")
-    times = np.sort(np.asarray(timestamps, dtype=float))
+    # A copy of its own, binned in place below; a sorted stream skips the
+    # sort (NaN compares False, so it sorts).
+    times = np.array(timestamps, dtype=float)
     if times.size < 1000:
         raise InsufficientDataError(
             f"need >= 1000 events, got {times.size}"
         )
+    if not np.all(times[1:] >= times[:-1]):
+        times.sort()
     # NaN and +inf sort last, -inf first.
     if not (np.isfinite(times[0]) and np.isfinite(times[-1])):
         raise InvalidArgumentError("timestamps must be finite")
@@ -396,7 +455,6 @@ def g2_from_counts(
         )
     if not (times[-1] - times[0]) / bin_width < _MAX_BIN_INDEX:
         raise InvalidArgumentError("bin_width: the stream spans over 2^63 bins")
-    # np.sort made times a copy of its own: bin it in place.
     times -= times[0]
     times /= bin_width
     bin_idx = np.floor(times, out=times).astype(np.int64)

@@ -1,6 +1,7 @@
 """Correlation estimators: symmetry, convergence, bootstrap calibration,
 photon-count histograms."""
 
+import contextlib
 import tracemalloc
 import warnings
 from unittest import mock
@@ -473,6 +474,113 @@ def test_counts_memory_at_dense_geometry():
     assert abs(est.values[1:].mean() - 1.0) < 1e-3
 
 
+def test_counts_of_a_million_isolated_tags():
+    # 1e6 uniform tags over 1 s at 1 ps bins, out to 10 ns: about 1e4 pairs
+    # in 1e12 bins, counted from their differences with no transform.
+    times = np.sort(rng_for(16, 2).uniform(0.0, 1.0, 1_000_000))
+    est, peak = _alloc_peak_mb(lambda: g2_from_counts(times, 1e-12, 1e-8))
+    assert peak < 64
+    bin_idx = np.floor((times - times[0]) / 1e-12).astype(np.int64)
+    expected = counts_g2(bin_idx, int(bin_idx[-1]) + 1, 10_000)
+    assert np.array_equal(est.values, expected)
+    assert np.count_nonzero(expected[1:]) > 1_000
+
+
+def histogram_lag_sums(bin_idx, k_max):
+    """sum_t c[t] c[t + k], k <= k_max, from the dense histogram c of the
+    sorted bin indices, correlated directly over its occupied bins."""
+    hist = np.bincount(bin_idx, minlength=int(bin_idx[-1]) + k_max + 1)
+    occupied = np.flatnonzero(hist)
+    return np.array([hist[occupied] @ hist[occupied + k] for k in range(k_max + 1)])
+
+
+def feeder_lag_sums(bin_idx, k_max):
+    """Each feeder's lag sums at the window length _count_lag_sums uses."""
+    n_bins = int(bin_idx[-1]) + 1
+    m = correlation._count_window(bin_idx.size, n_bins, k_max)
+    block = m - 2 * k_max
+    span = correlation._span_rows(bin_idx, -(-n_bins // block), block, k_max)
+    listed = correlation._listed_rows(bin_idx, block, k_max)
+    reach = np.searchsorted(bin_idx, bin_idx + k_max, "right")
+    return {
+        "span": np.rint(sources._window_lag_sums(span, block, k_max)),
+        "listed": np.rint(sources._window_lag_sums(listed, block, k_max)),
+        "pairs": correlation._pair_lag_sums(bin_idx, k_max, reach),
+    }
+
+
+def count_stream(kind, n_events, k_max, rng):
+    """Sorted bin indices from 0 of a dense, clustered or isolated stream,
+    within 2e6 bins."""
+    if kind == "dense":  # 20 events per bin to one per 3 bins
+        span = max(2, int(n_events * rng.uniform(0.05, 3.0)))
+        bin_idx = rng.integers(0, span, n_events)
+    elif kind == "clustered":  # bunches within k_max bins, far apart
+        bunches = int(rng.integers(1, 30))
+        gap = max(2 * k_max, 2_000_000 // bunches - k_max)
+        starts = np.arange(bunches) * gap
+        bin_idx = starts[rng.integers(0, bunches, n_events)] + rng.integers(0, k_max, n_events)
+    else:  # about one event per 2-50 k_max bins
+        n_events = min(n_events, 2_000_000 // (2 * k_max))
+        span = min(2_000_000, int(n_events * k_max * rng.uniform(2.0, 50.0)))
+        bin_idx = rng.integers(0, span, n_events)
+    bin_idx.sort()
+    return bin_idx - bin_idx[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["dense", "clustered", "isolated"]),
+    n_events=st.integers(2, 3_000),
+    k_max=st.integers(1, 3_000),
+    dup_frac=st.floats(0.0, 0.3),
+    chunk=st.sampled_from([1 << 10, correlation._CHUNK_POINTS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_feeders_match_a_dense_histogram(kind, n_events, k_max, dup_frac, chunk, seed):
+    # Every feeder on every kind of stream, with up to 30 % of the events
+    # moved onto the bin of the event before them. Chunks of 1024 points
+    # put one window in each batch and split the pairs of a stream.
+    rng = np.random.default_rng(seed)
+    bin_idx = count_stream(kind, n_events, k_max, rng)
+    repeat = rng.choice(np.arange(1, bin_idx.size), int(dup_frac * (bin_idx.size - 1)))
+    bin_idx[repeat] = bin_idx[repeat - 1]
+    bin_idx.sort()
+    expected = histogram_lag_sums(bin_idx, k_max)
+    with mock.patch.object(correlation, "_CHUNK_POINTS", chunk):
+        feeders = feeder_lag_sums(bin_idx, k_max)
+    for name, sums in feeders.items():
+        assert np.array_equal(sums, expected), name
+
+
+@pytest.mark.parametrize(
+    "kind, feeder",
+    [("dense", "_span_rows"), ("clustered", "_listed_rows"), ("isolated", "_pair_lag_sums")],
+)
+def test_count_lag_sums_takes_the_feeder_of_the_stream(kind, feeder):
+    rng = rng_for(16, 1)
+    if kind == "dense":  # 0.5 events per bin, as 1e6 arrivals at bin dt
+        bin_idx, k_max = rng.integers(0, 200_000, 100_000), 120
+    elif kind == "clustered":  # 50 bunches of 400 events within 100 bins
+        bunch = rng.integers(0, 100, (50, 400)) + np.arange(50)[:, None] * 10**6
+        bin_idx, k_max = bunch.ravel(), 100
+    else:  # 2 000 events over 1e12 bins
+        bin_idx, k_max = rng.integers(0, 10**12, 2_000), 1_000
+    bin_idx.sort()
+    bin_idx -= bin_idx[0]
+    names = ("_span_rows", "_listed_rows", "_pair_lag_sums")
+    with contextlib.ExitStack() as stack:
+        spies = {
+            name: stack.enter_context(
+                mock.patch.object(correlation, name, wraps=getattr(correlation, name))
+            )
+            for name in names
+        }
+        sums = correlation._count_lag_sums(bin_idx, int(bin_idx[-1]) + 1, k_max)
+    assert [name for name in names if spies[name].called] == [feeder]
+    assert np.array_equal(sums, pair_difference_counts(bin_idx, k_max))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2_000, 40_000),
@@ -639,3 +747,62 @@ def test_cached_calls_in_any_order_match_fresh_traces(statistics, order):
     trace = fresh_copy(CACHE_TRACES[statistics])
     for name in order + order[::-1]:
         assert call_bits(name, trace) == FRESH_BITS[statistics, name]
+
+
+def drawn_trace(spec, per_tauc, seed, n_tauc=4_000):
+    tau_c = nominal_coherence_time(spec.spectral_shape, spec.bandwidth_hz)
+    return make_trace(spec, n_tauc * tau_c, tau_c / per_tauc, seed), tau_c
+
+
+# Sampling from 7 to 16 points per coherence time resolves both shapes
+# (dt <= 1 / (10 dnu)). The bounds rest on the order-2 and order-3
+# bootstrap SEs, which cover; those of orders >= 4 are too small.
+SHAPES = st.sampled_from(["gaussian", "lorentzian"])
+BANDWIDTHS = st.floats(10.0**11.5, 10.0**13.5)
+PER_TAUC = st.integers(7, 16)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    statistics=st.sampled_from(["thermal-gaussian", "coherent", "tunable"]),
+    level=st.floats(0.0, 1.0),
+    shape=SHAPES,
+    bandwidth=BANDWIDTHS,
+    per_tauc=PER_TAUC,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_g2_tends_to_one_at_large_delay(statistics, level, shape, bandwidth, per_tauc, seed):
+    # Delays of 20-600 coherence times, beyond the 16 tau_c segments of a
+    # tunable source. level sets the amplitude noise (up to 0.3) or the
+    # target g2 (1.1 to 4, so that tens of the 250 segments are thermal:
+    # with a handful, the SE misses those past the bootstrap blocks).
+    # Pseudo-thermal light is left out: a finite mode sum is
+    # quasi-periodic, so its g2 does not settle.
+    spec = SourceSpec(
+        statistics=statistics,
+        center_wavelength=976e-9,
+        bandwidth_fwhm=bandwidth,
+        spectral_shape=shape,
+        amplitude_noise=0.3 * level,
+        target_g2=1.1 + 2.9 * level,
+    )
+    trace, tau_c = drawn_trace(spec, per_tauc, seed)
+    est = g2_tau(trace, 20.0 * tau_c * np.arange(1, 31), n_bootstrap=100)
+    assert np.all(np.abs(est.values - 1.0) <= 6.0 * est.std_errors + 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=SHAPES, bandwidth=BANDWIDTHS, per_tauc=PER_TAUC, seed=st.integers(0, 2**32 - 1))
+def test_thermal_moments_are_factorial(shape, bandwidth, per_tauc, seed):
+    # Every sample of a thermal field is complex Gaussian, so <I^n>/<I>^n = n!
+    # at any sampling and spectral shape.
+    spec = SourceSpec(
+        statistics="thermal-gaussian",
+        center_wavelength=976e-9,
+        bandwidth_fwhm=bandwidth,
+        spectral_shape=shape,
+    )
+    trace, _ = drawn_trace(spec, per_tauc, seed)
+    for n, target in ((2, 2.0), (3, 6.0)):
+        est = gn_zero(trace, n, n_bootstrap=100)
+        assert abs(est.values[0] - target) <= 6.0 * est.std_errors[0]
