@@ -327,7 +327,10 @@ def _listed_rows(bin_idx: np.ndarray, block: int, k_max: int):
     width = block + k_max
     starts = np.unique(bin_idx // block) * block
     first = np.searchsorted(bin_idx, starts)
-    sizes = np.searchsorted(bin_idx, starts + width) - first
+    # Window ends past the last bin are capped there: s + width could
+    # overflow int64 near the top of the bin range.
+    ends = np.minimum(starts, int(bin_idx[-1]) + 1 - width) + width
+    sizes = np.searchsorted(bin_idx, ends) - first
     step = max(1, _CHUNK_POINTS // (block + 2 * k_max))
     for r0 in range(0, starts.size, step):
         size = sizes[r0 : r0 + step]
@@ -398,7 +401,8 @@ def _count_lag_sums(bin_idx: np.ndarray, n_bins: int, k_max: int) -> np.ndarray:
     window = bin_idx // block
     occupied = 1 + np.count_nonzero(window[1:] != window[:-1])
     del window
-    reach = np.searchsorted(bin_idx, bin_idx + k_max, "right")
+    # Events up to bin b + k_max, found without forming b + k_max (int64).
+    reach = np.searchsorted(bin_idx - k_max, bin_idx, "right")
     pairs = int(reach.sum()) - bin_idx.size * (bin_idx.size + 1) // 2
     if pairs <= _PAIR_COST * occupied * m:
         return _pair_lag_sums(bin_idx, k_max, reach)

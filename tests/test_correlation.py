@@ -501,7 +501,7 @@ def feeder_lag_sums(bin_idx, k_max):
     block = m - 2 * k_max
     span = correlation._span_rows(bin_idx, -(-n_bins // block), block, k_max)
     listed = correlation._listed_rows(bin_idx, block, k_max)
-    reach = np.searchsorted(bin_idx, bin_idx + k_max, "right")
+    reach = np.searchsorted(bin_idx - k_max, bin_idx, "right")
     return {
         "span": np.rint(sources._window_lag_sums(span, block, k_max)),
         "listed": np.rint(sources._window_lag_sums(listed, block, k_max)),
@@ -551,6 +551,26 @@ def test_count_feeders_match_a_dense_histogram(kind, n_events, k_max, dup_frac, 
         feeders = feeder_lag_sums(bin_idx, k_max)
     for name, sums in feeders.items():
         assert np.array_equal(sums, expected), name
+
+
+def test_counts_near_the_top_of_the_int64_bin_range():
+    # The last bin lies 4096 below 2^63, so a bin plus k_max, or a window
+    # start plus its width, would wrap around in int64. 300 tags a few
+    # ulps apart at the end of the stream hold every pair.
+    end = 1.0 - np.arange(300) * 2.0**-52
+    times = np.sort(np.concatenate([[0.0], rng_for(16, 3).uniform(0.0, 0.9, 800), end]))
+    bin_width = 1.0 / (2.0**63 - 4096)
+    bin_idx = np.floor(times / bin_width).astype(np.int64)
+    n_bins = int(bin_idx[-1]) + 1
+    tail = bin_idx[-300:]
+    for k_max in (3_000, 20_000, 700_000):
+        est = g2_from_counts(times, bin_width, k_max * bin_width)
+        assert np.array_equal(est.values, counts_g2(bin_idx, n_bins, k_max))
+        block = correlation._count_window(times.size, n_bins, k_max) - 2 * k_max
+        rows = correlation._listed_rows(tail, block, k_max)
+        sums = np.rint(sources._window_lag_sums(rows, block, k_max))
+        assert np.array_equal(sums, pair_difference_counts(tail, k_max))
+    assert np.count_nonzero(est.values[1:]) > 100
 
 
 @pytest.mark.parametrize(
