@@ -57,9 +57,9 @@ _BOOTSTRAP_STREAM = 0xB00F
 # within ~1.7x of the cheaper one.
 _FFT_COST = 11
 # _count_lag_sums counts pair differences while pairs within k_max number
-# at most this many per point the occupied windows would transform. Both
-# feeders took equal time at 1.5-2 on bunched streams of 2e5 events, k_max
-# 100-1e4 (2-vCPU x86, numpy 2.4).
+# at most this many per point the cheaper window feeder would transform.
+# Pairs and occupied windows took equal time at 1.5-2 on bunched streams
+# of 2e5 events, k_max 100-1e4 (2-vCPU x86, numpy 2.4).
 _PAIR_COST = 1.5
 
 
@@ -283,25 +283,41 @@ def gn_zero(
 
 
 def _count_window(n_events: int, n_bins: int, k_max: int) -> int:
-    """The transform length m = L + 2 k_max of the window feeders, 3 * 2^j.
+    """The transform length m = L + 2 k_max of _count_lag_sums, 3 * 2^j.
 
     Batched real transforms of these lengths ran fastest per point (2-vCPU
     x86, numpy 2.4): powers of two from 4096 up were ~25 % slower, and
-    2916 = 4 * 3^6 or 10125 = 3^4 5^3 slower too. A stream with fewer
-    events than windows takes the shortest such length >= max(6 k_max,
-    1024), since each occupied window costs a transform. A denser one takes
-    the one of the five lengths from there with the least transform work
-    per bin: m log m plus the same for the overlap, over L.
+    2916 = 4 * 3^6 or 10125 = 3^4 5^3 slower too. Of the five such lengths
+    from the shortest >= max(6 k_max, 1024), the one of least expected
+    transform work:
+    m log m plus the same for the overlap per occupied window, with the
+    occupied windows counted as if the events were a Poisson stream. Dense
+    streams take long windows, so padding and overlaps weigh less; sparse
+    ones short, so an isolated event costs little.
     """
-    shortest = 3 << (-(-max(6 * k_max, 1024) // 3) - 1).bit_length()
-    if n_events * (shortest - 2 * k_max) < n_bins:
-        return shortest
     overlap = _fft_len(2 * k_max)
-    work = overlap * math.log2(overlap)
-    return min(
-        (shortest << j for j in range(5)),
-        key=lambda m: (m * math.log2(m) + work) / (m - 2 * k_max),
-    )
+
+    def cost(m):
+        block = m - 2 * k_max
+        occupied = -math.expm1(-n_events * block / n_bins) * n_bins / block
+        return max(1.0, occupied) * (m * math.log2(m) + overlap * math.log2(overlap))
+
+    shortest = 3 << (-(-max(6 * k_max, 1024) // 3) - 1).bit_length()
+    return min((shortest << j for j in range(5)), key=cost)
+
+
+def _occupied_windows(bin_idx: np.ndarray, block: int, windows: int):
+    """First bins of the windows of L = block bins that hold an event, and
+    their events. Arrays of min(windows, events) entries at most: with no
+    more windows than events, from one np.searchsorted of the window
+    edges; else from the window of each event."""
+    if windows <= bin_idx.size:
+        counts = np.diff(np.searchsorted(bin_idx, np.arange(windows + 1) * block))
+        occupied = np.flatnonzero(counts)
+        return occupied * block, counts[occupied]
+    window = bin_idx // block
+    first = np.flatnonzero(np.concatenate(([True], window[1:] != window[:-1])))
+    return window[first] * block, np.diff(first, append=window.size)
 
 
 def _span_rows(bin_idx: np.ndarray, windows: int, block: int, k_max: int):
@@ -319,13 +335,12 @@ def _span_rows(bin_idx: np.ndarray, windows: int, block: int, k_max: int):
         yield np.lib.stride_tricks.sliding_window_view(hist, block + k_max)[::block]
 
 
-def _listed_rows(bin_idx: np.ndarray, block: int, k_max: int):
-    """Rows of _window_lag_sums for the occupied windows of L = block bins
-    only, in batches as _span_rows: the events in [s, s + L + k_max) of
-    the window starting at bin s are gathered, keyed by row and offset,
-    and counted by one np.bincount per batch."""
+def _listed_rows(bin_idx: np.ndarray, starts: np.ndarray, block: int, k_max: int):
+    """Rows of _window_lag_sums for the windows of L = block bins starting
+    at the bins starts only, in batches as _span_rows: the events in
+    [s, s + L + k_max) of the window starting at bin s are gathered, keyed
+    by row and offset, and counted by one np.bincount per batch."""
     width = block + k_max
-    starts = np.unique(bin_idx // block) * block
     first = np.searchsorted(bin_idx, starts)
     # Window ends past the last bin are capped there: s + width could
     # overflow int64 near the top of the bin range.
@@ -342,24 +357,57 @@ def _listed_rows(bin_idx: np.ndarray, block: int, k_max: int):
         yield rows.reshape(-1, width)
 
 
-def _pair_lag_sums(bin_idx: np.ndarray, k_max: int, reach: np.ndarray) -> np.ndarray:
-    """Sums of c[t] c[t + k] counted from the differences of event pairs;
-    reach[i] is one past the last event within k_max bins of event i.
+def _reach(bin_idx: np.ndarray, lo: int, hi: int, k_max: int) -> np.ndarray:
+    """One past the last event within k_max bins of each event in [lo, hi)."""
+    # Bins from the last one less k_max on all reach the end; capping them
+    # there keeps b + k_max inside int64.
+    ahead = np.minimum(bin_idx[lo:hi], int(bin_idx[-1]) - k_max)
+    ahead += k_max
+    return np.searchsorted(bin_idx, ahead, "right")
+
+
+def _pair_floor(events: np.ndarray, block: int, k_max: int) -> float:
+    """A lower bound on the event pairs within k_max bins, from the events
+    of each occupied window of L = block bins: they pair up within each of
+    its cells of k_max + 1 bins, at least n (n / cells - 1) / 2 pairs for
+    n events (Cauchy-Schwarz)."""
+    cells = -(-block // (k_max + 1))
+    return float(events @ (events / cells - 1.0)) / 2
+
+
+def _pair_count(bin_idx: np.ndarray, k_max: int, limit: float) -> int:
+    """Event pairs within k_max bins, counted per chunk of events; the
+    count stops once past limit."""
+    pairs = 0
+    step = max(1, _CHUNK_POINTS >> 4)
+    for lo in range(0, bin_idx.size, step):
+        hi = min(lo + step, bin_idx.size)
+        # Event i pairs with events i + 1 .. reach[i] - 1.
+        pairs += int(_reach(bin_idx, lo, hi, k_max).sum()) - (hi - lo) * (lo + hi + 1) // 2
+        if pairs > limit:
+            break
+    return pairs
+
+
+def _pair_lag_sums(bin_idx: np.ndarray, k_max: int) -> np.ndarray:
+    """Sums of c[t] c[t + k] counted from the differences of event pairs.
 
     Only the events with a partner are listed, as lead[r]. With ends[r]
     the pairs of the listed events up to r, event i = lead[r] owns the
     pairs p in [ends[r] - partners[r], ends[r]), and pair p's partner is
-    event p + reach[i] - ends[r]. The differences are histogrammed in
-    chunks of _CHUNK_POINTS pairs; the N same-event products and both
-    orders of each same-bin pair make up lag 0. O(N + pairs), with no
-    transform.
+    event p + reach[i] - ends[r] (_reach). The differences are
+    histogrammed in chunks of _CHUNK_POINTS pairs; the N same-event
+    products and both orders of each same-bin pair make up lag 0.
+    O(N + pairs), with no transform.
     """
+    reach = _reach(bin_idx, 0, bin_idx.size, k_max)
     partners = np.arange(1, bin_idx.size + 1)
     np.subtract(reach, partners, out=partners)
     lead = np.flatnonzero(partners)
     partners = partners[lead]
     ends = np.cumsum(partners)
     shift = reach[lead] - ends
+    del reach
     sums = np.zeros(k_max + 1, dtype=np.int64)
     pairs = int(ends[-1]) if ends.size else 0
     for p0 in range(0, pairs, _CHUNK_POINTS):
@@ -382,32 +430,38 @@ def _count_lag_sums(bin_idx: np.ndarray, n_bins: int, k_max: int) -> np.ndarray:
     sorted bin indices equal to t (all below n_bins); exact integers, as
     floats.
 
-    Three exact feeders, picked from counts of the stream itself. With at
-    least as many events as windows of L = m - 2 k_max bins (_count_window),
-    every window goes to _window_lag_sums, each batch from one histogram
-    of its span (_span_rows). Otherwise, with at most _PAIR_COST pairs
-    within k_max per point the occupied windows would transform, the pair
-    differences are counted directly (_pair_lag_sums); failing that, only
-    the occupied windows are built and transformed (_listed_rows). Beside
-    bin_idx, memory is a few event-sized index arrays at most and one batch
-    of about _CHUNK_POINTS points; the windows' float sums are rounded.
+    Three exact feeders, picked by their cost from counts of the stream
+    itself: the windows of L = m - 2 k_max bins in the span (m from
+    _count_window), the occupied ones and the event pairs within k_max.
+    _span_rows transforms every window, each batch from one histogram of
+    its span: windows * m points. _listed_rows transforms only the
+    occupied windows, gathering their events: occupied * m points plus
+    about one per event. _pair_lag_sums counts pair differences with no
+    transform, and is taken while the pairs number at most _PAIR_COST
+    times the points of the cheaper window feeder. The pairs are counted
+    only if a lower bound from the occupied windows' events leaves the
+    pair feeder a chance, and the count stops past that limit, so dense
+    streams skip it. Beside bin_idx, a stream with no more windows than
+    events holds window-sized arrays and one batch of about _CHUNK_POINTS
+    points at a time; a sparser one a few event-sized arrays. The
+    windows' float sums are rounded.
     """
     m = _count_window(bin_idx.size, n_bins, k_max)
     block = m - 2 * k_max
     windows = -(-n_bins // block)
-    if bin_idx.size >= windows:
+    starts, events = _occupied_windows(bin_idx, block, windows)
+    # The listed feeder's gather costs about one point per event (1e6
+    # events at 0.5 per bin, k_max 120: +37 ms on 2.2e6 points).
+    span, listed = windows * m, starts.size * m + bin_idx.size
+    limit = _PAIR_COST * min(span, listed)
+    if _pair_floor(events, block, k_max) <= limit:
+        if _pair_count(bin_idx, k_max, limit) <= limit:
+            return _pair_lag_sums(bin_idx, k_max)
+    if listed < span:
+        rows = _listed_rows(bin_idx, starts, block, k_max)
+    else:
         rows = _span_rows(bin_idx, windows, block, k_max)
-        return np.rint(_window_lag_sums(rows, block, k_max))
-    window = bin_idx // block
-    occupied = 1 + np.count_nonzero(window[1:] != window[:-1])
-    del window
-    # Events up to bin b + k_max, found without forming b + k_max (int64).
-    reach = np.searchsorted(bin_idx - k_max, bin_idx, "right")
-    pairs = int(reach.sum()) - bin_idx.size * (bin_idx.size + 1) // 2
-    if pairs <= _PAIR_COST * occupied * m:
-        return _pair_lag_sums(bin_idx, k_max, reach)
-    del reach
-    return np.rint(_window_lag_sums(_listed_rows(bin_idx, block, k_max), block, k_max))
+    return np.rint(_window_lag_sums(rows, block, k_max))
 
 
 # Bin indices below this float (2^63) cast to int64 exactly.
@@ -428,10 +482,11 @@ def g2_from_counts(
 
     The pair counts are exact integers, taken from the sorted events with
     no histogram of the whole stream (_count_lag_sums): memory follows the
-    number of events, not duration / bin_width. Dense streams are
-    histogrammed one batch of windows at a time, isolated events cost
-    O(events + pairs) through their pair differences, and stretches with
-    no events cost nothing. Timestamps already in order skip the sort.
+    number of events, not duration / bin_width. Each stream takes the
+    cheapest of three feeders: dense ones are histogrammed one batch of
+    windows at a time, clustered ones transform only their occupied
+    windows, and isolated events cost O(events + pairs) through their pair
+    differences, so long stretches with no events cost little.
     """
     for name, value in (("bin_width", bin_width), ("max_delay", max_delay)):
         if not 0 < value < np.inf:
@@ -440,15 +495,11 @@ def g2_from_counts(
         raise InvalidArgumentError("max_delay must be at least one bin")
     if not max_delay / bin_width < _MAX_BIN_INDEX:
         raise InvalidArgumentError("max_delay / bin_width: over 2^63 bins")
-    # A copy of its own, binned in place below; a sorted stream skips the
-    # sort (NaN compares False, so it sorts).
-    times = np.array(timestamps, dtype=float)
+    times = np.sort(np.asarray(timestamps, dtype=float))
     if times.size < 1000:
         raise InsufficientDataError(
             f"need >= 1000 events, got {times.size}"
         )
-    if not np.all(times[1:] >= times[:-1]):
-        times.sort()
     # NaN and +inf sort last, -inf first.
     if not (np.isfinite(times[0]) and np.isfinite(times[-1])):
         raise InvalidArgumentError("timestamps must be finite")
@@ -459,6 +510,7 @@ def g2_from_counts(
         )
     if not (times[-1] - times[0]) / bin_width < _MAX_BIN_INDEX:
         raise InvalidArgumentError("bin_width: the stream spans over 2^63 bins")
+    # np.sort made times a copy of its own: bin it in place.
     times -= times[0]
     times /= bin_width
     bin_idx = np.floor(times, out=times).astype(np.int64)

@@ -622,8 +622,7 @@ def _coherence_time(samples: np.ndarray, dt: float) -> float | None:
     if math.isnan(floor) or floor > G1_DECAY_THRESHOLD + _CERTIFICATE_MARGIN:
         return None
     half = samples.size // 2
-    stages = {min(_LAG_BLOCK // 32, half), min(_LAG_BLOCK // 4, half), half}
-    for max_lag in sorted(stages):
+    for max_lag in sorted({min(_LAG_BLOCK // 4, half), half}):
         g1 = _g1_magnitude(samples, max_lag)
         below = np.flatnonzero(g1 < G1_DECAY_THRESHOLD)
         if below.size:
@@ -651,10 +650,9 @@ def coherence_time(trace: FieldTrace) -> float:
     threshold (coherent light with relative amplitude noise up to about
     0.28, or a constant field plus a fluctuating part under about 7
     percent of the power), the EstimationError is raised without a lag
-    sum. Otherwise the decay is searched over 256 lags, then over 2048
-    (lag sums of block-wise FFTs only), and over the full half trace only
-    if |g1| stays above the threshold there. The outcome is cached on the
-    trace.
+    sum. Otherwise the decay is searched over a short lag range, whose lag
+    sums cost block-wise FFTs only, and the full half trace only if |g1|
+    stays above the threshold there. The outcome is cached on the trace.
     """
     tau_c = trace._tau_c
     if tau_c is None:

@@ -499,14 +499,20 @@ def feeder_lag_sums(bin_idx, k_max):
     n_bins = int(bin_idx[-1]) + 1
     m = correlation._count_window(bin_idx.size, n_bins, k_max)
     block = m - 2 * k_max
-    span = correlation._span_rows(bin_idx, -(-n_bins // block), block, k_max)
-    listed = correlation._listed_rows(bin_idx, block, k_max)
-    reach = np.searchsorted(bin_idx - k_max, bin_idx, "right")
+    windows = -(-n_bins // block)
+    starts, _ = correlation._occupied_windows(bin_idx, block, windows)
+    span = correlation._span_rows(bin_idx, windows, block, k_max)
+    listed = correlation._listed_rows(bin_idx, starts, block, k_max)
     return {
         "span": np.rint(sources._window_lag_sums(span, block, k_max)),
         "listed": np.rint(sources._window_lag_sums(listed, block, k_max)),
-        "pairs": correlation._pair_lag_sums(bin_idx, k_max, reach),
+        "pairs": correlation._pair_lag_sums(bin_idx, k_max),
     }
+
+
+def occupied_reference(bin_idx, block):
+    window, events = np.unique(bin_idx // block, return_counts=True)
+    return window * block, events
 
 
 def count_stream(kind, n_events, k_max, rng):
@@ -551,6 +557,18 @@ def test_count_feeders_match_a_dense_histogram(kind, n_events, k_max, dup_frac, 
         feeders = feeder_lag_sums(bin_idx, k_max)
     for name, sums in feeders.items():
         assert np.array_equal(sums, expected), name
+    # The counts the feeder is picked from: pairs within k_max, never below
+    # their floor, and the occupied windows from either the window edges or
+    # the events.
+    pairs = expected[1:].sum() + (expected[0] - bin_idx.size) // 2
+    assert correlation._pair_count(bin_idx, k_max, np.inf) == pairs
+    block = correlation._count_window(bin_idx.size, int(bin_idx[-1]) + 1, k_max) - 2 * k_max
+    windows = int(bin_idx[-1]) // block + 1
+    for assumed in {windows, max(windows, bin_idx.size + 1)}:
+        found = correlation._occupied_windows(bin_idx, block, assumed)
+        for got, want in zip(found, occupied_reference(bin_idx, block)):
+            assert np.array_equal(got, want)
+    assert correlation._pair_floor(found[1], block, k_max) <= pairs
 
 
 def test_counts_near_the_top_of_the_int64_bin_range():
@@ -567,7 +585,8 @@ def test_counts_near_the_top_of_the_int64_bin_range():
         est = g2_from_counts(times, bin_width, k_max * bin_width)
         assert np.array_equal(est.values, counts_g2(bin_idx, n_bins, k_max))
         block = correlation._count_window(times.size, n_bins, k_max) - 2 * k_max
-        rows = correlation._listed_rows(tail, block, k_max)
+        starts, _ = correlation._occupied_windows(tail, block, -(-n_bins // block))
+        rows = correlation._listed_rows(tail, starts, block, k_max)
         sums = np.rint(sources._window_lag_sums(rows, block, k_max))
         assert np.array_equal(sums, pair_difference_counts(tail, k_max))
     assert np.count_nonzero(est.values[1:]) > 100
@@ -575,7 +594,13 @@ def test_counts_near_the_top_of_the_int64_bin_range():
 
 @pytest.mark.parametrize(
     "kind, feeder",
-    [("dense", "_span_rows"), ("clustered", "_listed_rows"), ("isolated", "_pair_lag_sums")],
+    [
+        ("dense", "_span_rows"),
+        ("clustered", "_listed_rows"),
+        ("burst", "_listed_rows"),
+        ("isolated", "_pair_lag_sums"),
+        ("sparse", "_pair_lag_sums"),
+    ],
 )
 def test_count_lag_sums_takes_the_feeder_of_the_stream(kind, feeder):
     rng = rng_for(16, 1)
@@ -584,8 +609,14 @@ def test_count_lag_sums_takes_the_feeder_of_the_stream(kind, feeder):
     elif kind == "clustered":  # 50 bunches of 400 events within 100 bins
         bunch = rng.integers(0, 100, (50, 400)) + np.arange(50)[:, None] * 10**6
         bin_idx, k_max = bunch.ravel(), 100
-    else:  # 2 000 events over 1e12 bins
+    elif kind == "burst":  # 1e5 events in 1e5 bins and one far out: about
+        # as many events as windows, nearly all of them empty
+        bin_idx = np.append(rng.integers(0, 100_000, 100_000), 129_000_000)
+        k_max = 120
+    elif kind == "isolated":  # 2 000 events over 1e12 bins
         bin_idx, k_max = rng.integers(0, 10**12, 2_000), 1_000
+    else:  # 2e4 events over 1e9 bins, more than windows, few pairs
+        bin_idx, k_max = rng.integers(0, 10**9, 20_000), 10_000
     bin_idx.sort()
     bin_idx -= bin_idx[0]
     names = ("_span_rows", "_listed_rows", "_pair_lag_sums")
