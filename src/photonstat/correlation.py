@@ -317,7 +317,10 @@ def _occupied_windows(bin_idx: np.ndarray, block: int, windows: int):
         return occupied * block, counts[occupied]
     window = bin_idx // block
     first = np.flatnonzero(np.concatenate(([True], window[1:] != window[:-1])))
-    return window[first] * block, np.diff(first, append=window.size)
+    starts = window[first]
+    del window
+    starts *= block
+    return starts, np.diff(first, append=bin_idx.size)
 
 
 def _span_rows(bin_idx: np.ndarray, windows: int, block: int, k_max: int):
