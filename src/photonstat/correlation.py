@@ -360,15 +360,6 @@ def _listed_rows(bin_idx: np.ndarray, starts: np.ndarray, block: int, k_max: int
         yield rows.reshape(-1, width)
 
 
-def _reach(bin_idx: np.ndarray, lo: int, hi: int, k_max: int) -> np.ndarray:
-    """One past the last event within k_max bins of each event in [lo, hi)."""
-    # Bins from the last one less k_max on all reach the end; capping them
-    # there keeps b + k_max inside int64.
-    ahead = np.minimum(bin_idx[lo:hi], int(bin_idx[-1]) - k_max)
-    ahead += k_max
-    return np.searchsorted(bin_idx, ahead, "right")
-
-
 def _pair_floor(events: np.ndarray, block: int, k_max: int) -> float:
     """A lower bound on the event pairs within k_max bins, from the events
     of each occupied window of L = block bins: they pair up within each of
@@ -378,39 +369,45 @@ def _pair_floor(events: np.ndarray, block: int, k_max: int) -> float:
     return float(events @ (events / cells - 1.0)) / 2
 
 
-def _pair_count(bin_idx: np.ndarray, k_max: int, limit: float) -> int:
-    """Event pairs within k_max bins, counted per chunk of events; the
-    count stops once past limit."""
+def _pair_reach(bin_idx: np.ndarray, k_max: int, limit: float) -> np.ndarray | None:
+    """One past the last event within k_max bins of each event, searched
+    per chunk of events; None as soon as the pairs within k_max pass limit."""
+    reach = np.empty_like(bin_idx)
+    # Bins from the last one less k_max on all reach the end; capping them
+    # there keeps b + k_max inside int64.
+    cap = int(bin_idx[-1]) - k_max
     pairs = 0
     step = max(1, _CHUNK_POINTS >> 4)
     for lo in range(0, bin_idx.size, step):
         hi = min(lo + step, bin_idx.size)
+        ahead = np.minimum(bin_idx[lo:hi], cap)
+        ahead += k_max
+        reach[lo:hi] = np.searchsorted(bin_idx, ahead, "right")
         # Event i pairs with events i + 1 .. reach[i] - 1.
-        pairs += int(_reach(bin_idx, lo, hi, k_max).sum()) - (hi - lo) * (lo + hi + 1) // 2
+        pairs += int(reach[lo:hi].sum()) - (hi - lo) * (lo + hi + 1) // 2
         if pairs > limit:
-            break
-    return pairs
+            return None
+    return reach
 
 
-def _pair_lag_sums(bin_idx: np.ndarray, k_max: int) -> np.ndarray:
-    """Sums of c[t] c[t + k] counted from the differences of event pairs.
+def _pair_lag_sums(bin_idx: np.ndarray, k_max: int, reach: np.ndarray) -> np.ndarray:
+    """Sums of c[t] c[t + k] counted from the differences of event pairs;
+    reach[i] is one past the last event within k_max bins of event i.
 
     Only the events with a partner are listed, as lead[r]. With ends[r]
     the pairs of the listed events up to r, event i = lead[r] owns the
     pairs p in [ends[r] - partners[r], ends[r]), and pair p's partner is
-    event p + reach[i] - ends[r] (_reach). The differences are
+    event p + reach[i] - ends[r]. The differences are
     histogrammed in chunks of _CHUNK_POINTS pairs; the N same-event
     products and both orders of each same-bin pair make up lag 0.
     O(N + pairs), with no transform.
     """
-    reach = _reach(bin_idx, 0, bin_idx.size, k_max)
     partners = np.arange(1, bin_idx.size + 1)
     np.subtract(reach, partners, out=partners)
     lead = np.flatnonzero(partners)
     partners = partners[lead]
     ends = np.cumsum(partners)
     shift = reach[lead] - ends
-    del reach
     sums = np.zeros(k_max + 1, dtype=np.int64)
     pairs = int(ends[-1]) if ends.size else 0
     for p0 in range(0, pairs, _CHUNK_POINTS):
@@ -458,8 +455,9 @@ def _count_lag_sums(bin_idx: np.ndarray, n_bins: int, k_max: int) -> np.ndarray:
     span, listed = windows * m, starts.size * m + bin_idx.size
     limit = _PAIR_COST * min(span, listed)
     if _pair_floor(events, block, k_max) <= limit:
-        if _pair_count(bin_idx, k_max, limit) <= limit:
-            return _pair_lag_sums(bin_idx, k_max)
+        reach = _pair_reach(bin_idx, k_max, limit)
+        if reach is not None:
+            return _pair_lag_sums(bin_idx, k_max, reach)
     if listed < span:
         rows = _listed_rows(bin_idx, starts, block, k_max)
     else:

@@ -506,7 +506,9 @@ def feeder_lag_sums(bin_idx, k_max):
     return {
         "span": np.rint(sources._window_lag_sums(span, block, k_max)),
         "listed": np.rint(sources._window_lag_sums(listed, block, k_max)),
-        "pairs": correlation._pair_lag_sums(bin_idx, k_max),
+        "pairs": correlation._pair_lag_sums(
+            bin_idx, k_max, correlation._pair_reach(bin_idx, k_max, np.inf)
+        ),
     }
 
 
@@ -561,7 +563,8 @@ def test_count_feeders_match_a_dense_histogram(kind, n_events, k_max, dup_frac, 
     # their floor, and the occupied windows from either the window edges or
     # the events.
     pairs = expected[1:].sum() + (expected[0] - bin_idx.size) // 2
-    assert correlation._pair_count(bin_idx, k_max, np.inf) == pairs
+    assert correlation._pair_reach(bin_idx, k_max, pairs) is not None
+    assert correlation._pair_reach(bin_idx, k_max, pairs - 0.5) is None
     block = correlation._count_window(bin_idx.size, int(bin_idx[-1]) + 1, k_max) - 2 * k_max
     windows = int(bin_idx[-1]) // block + 1
     for assumed in {windows, max(windows, bin_idx.size + 1)}:
