@@ -441,10 +441,10 @@ def _count_lag_sums(bin_idx: np.ndarray, n_bins: int, k_max: int) -> np.ndarray:
     times the points of the cheaper window feeder. The pairs are counted
     only if a lower bound from the occupied windows' events leaves the
     pair feeder a chance, and the count stops past that limit, so dense
-    streams skip it. Beside bin_idx, a stream with no more windows than
-    events holds window-sized arrays and one batch of about _CHUNK_POINTS
-    points at a time; a sparser one a few event-sized arrays. The
-    windows' float sums are rounded.
+    streams skip it. Beside bin_idx, a dense stream (no more windows than
+    events, too many pairs) holds window-sized arrays and one batch of
+    about _CHUNK_POINTS points at a time; any other a few event-sized
+    arrays. The windows' float sums are rounded.
     """
     m = _count_window(bin_idx.size, n_bins, k_max)
     block = m - 2 * k_max
