@@ -57,9 +57,9 @@ _BOOTSTRAP_STREAM = 0xB00F
 # within ~1.7x of the cheaper one.
 _FFT_COST = 11
 # _count_lag_sums counts pair differences while pairs within k_max number
-# at most this many per point the cheaper window feeder would transform.
-# Pairs and occupied windows took equal time at 1.5-2 on bunched streams
-# of 2e5 events, k_max 100-1e4 (2-vCPU x86, numpy 2.4).
+# at most this many per point the window feeder would transform. Pairs and
+# transformed windows, all of them occupied, took equal time at 1.5-2 on
+# bunched streams of 2e5 events, k_max 100-1e4 (2-vCPU x86, numpy 2.4).
 _PAIR_COST = 1.5
 
 
@@ -282,45 +282,34 @@ def gn_zero(
     )
 
 
-def _count_window(n_events: int, n_bins: int, k_max: int) -> int:
+def _count_window(n_bins: int, k_max: int) -> int:
     """The transform length m = L + 2 k_max of _count_lag_sums, 3 * 2^j.
 
     Batched real transforms of these lengths ran fastest per point (2-vCPU
     x86, numpy 2.4): powers of two from 4096 up were ~25 % slower, and
     2916 = 4 * 3^6 or 10125 = 3^4 5^3 slower too. Of the five such lengths
-    from the shortest >= max(6 k_max, 1024), the one of least expected
-    transform work:
-    m log m plus the same for the overlap per occupied window, with the
-    occupied windows counted as if the events were a Poisson stream. Dense
-    streams take long windows, so padding and overlaps weigh less; sparse
-    ones short, so an isolated event costs little.
+    from the shortest >= max(6 k_max, 1024), the one of least transform
+    work over n_bins: m log m plus the same for the overlap, per window of
+    L bins and for one window at least.
     """
     overlap = _fft_len(2 * k_max)
 
     def cost(m):
-        block = m - 2 * k_max
-        occupied = -math.expm1(-n_events * block / n_bins) * n_bins / block
-        return max(1.0, occupied) * (m * math.log2(m) + overlap * math.log2(overlap))
+        windows = max(1.0, n_bins / (m - 2 * k_max))
+        return windows * (m * math.log2(m) + overlap * math.log2(overlap))
 
     shortest = 3 << (-(-max(6 * k_max, 1024) // 3) - 1).bit_length()
     return min((shortest << j for j in range(5)), key=cost)
 
 
-def _occupied_windows(bin_idx: np.ndarray, block: int, windows: int):
-    """First bins of the windows of L = block bins that hold an event, and
-    their events. Arrays of min(windows, events) entries at most: with no
-    more windows than events, from one np.searchsorted of the window
-    edges; else from the window of each event."""
-    if windows <= bin_idx.size:
-        counts = np.diff(np.searchsorted(bin_idx, np.arange(windows + 1) * block))
-        occupied = np.flatnonzero(counts)
-        return occupied * block, counts[occupied]
-    window = bin_idx // block
-    first = np.flatnonzero(np.concatenate(([True], window[1:] != window[:-1])))
-    starts = window[first]
-    del window
-    starts *= block
-    return starts, np.diff(first, append=bin_idx.size)
+def _close_gaps(bin_idx: np.ndarray, k_max: int) -> None:
+    """Shortens, in place, every gap of more than k_max bins between
+    neighbouring sorted bin indices (from 0) to k_max + 1. No pair within
+    k_max spans such a gap, so the lag sums to k_max stay, and the span
+    is then at most N (k_max + 1) bins for N events."""
+    gaps = np.diff(bin_idx)
+    np.minimum(gaps, k_max + 1, out=gaps)
+    np.cumsum(gaps, out=bin_idx[1:])
 
 
 def _span_rows(bin_idx: np.ndarray, windows: int, block: int, k_max: int):
@@ -338,31 +327,9 @@ def _span_rows(bin_idx: np.ndarray, windows: int, block: int, k_max: int):
         yield np.lib.stride_tricks.sliding_window_view(hist, block + k_max)[::block]
 
 
-def _listed_rows(bin_idx: np.ndarray, starts: np.ndarray, block: int, k_max: int):
-    """Rows of _window_lag_sums for the windows of L = block bins starting
-    at the bins starts only, in batches as _span_rows: the events in
-    [s, s + L + k_max) of the window starting at bin s are gathered, keyed
-    by row and offset, and counted by one np.bincount per batch."""
-    width = block + k_max
-    first = np.searchsorted(bin_idx, starts)
-    # Window ends past the last bin are capped there: s + width could
-    # overflow int64 near the top of the bin range.
-    ends = np.minimum(starts, int(bin_idx[-1]) + 1 - width) + width
-    sizes = np.searchsorted(bin_idx, ends) - first
-    step = max(1, _CHUNK_POINTS // (block + 2 * k_max))
-    for r0 in range(0, starts.size, step):
-        size = sizes[r0 : r0 + step]
-        # Entry e of row r is event first[r] + e - (entries before row r).
-        shift = first[r0 : r0 + step] - np.cumsum(size) + size
-        keys = bin_idx[np.arange(size.sum()) + np.repeat(shift, size)]
-        keys -= np.repeat(starts[r0 : r0 + step] - np.arange(size.size) * width, size)
-        rows = np.bincount(keys, minlength=size.size * width).astype(float)
-        yield rows.reshape(-1, width)
-
-
 def _pair_floor(events: np.ndarray, block: int, k_max: int) -> float:
     """A lower bound on the event pairs within k_max bins, from the events
-    of each occupied window of L = block bins: they pair up within each of
+    of each window of L = block bins: they pair up within each of
     its cells of k_max + 1 bins, at least n (n / cells - 1) / 2 pairs for
     n events (Cauchy-Schwarz)."""
     cells = -(-block // (k_max + 1))
@@ -425,43 +392,35 @@ def _pair_lag_sums(bin_idx: np.ndarray, k_max: int, reach: np.ndarray) -> np.nda
     return sums.astype(float)
 
 
-def _count_lag_sums(bin_idx: np.ndarray, n_bins: int, k_max: int) -> np.ndarray:
+def _count_lag_sums(bin_idx: np.ndarray, k_max: int) -> np.ndarray:
     """Sums over t of c[t] c[t + k], k <= k_max, where c[t] counts the
-    sorted bin indices equal to t (all below n_bins); exact integers, as
-    floats.
+    sorted bin indices (from 0) equal to t; exact integers, as floats.
 
-    Three exact feeders, picked by their cost from counts of the stream
-    itself: the windows of L = m - 2 k_max bins in the span (m from
-    _count_window), the occupied ones and the event pairs within k_max.
-    _span_rows transforms every window, each batch from one histogram of
-    its span: windows * m points. _listed_rows transforms only the
-    occupied windows, gathering their events: occupied * m points plus
-    about one per event. _pair_lag_sums counts pair differences with no
-    transform, and is taken while the pairs number at most _PAIR_COST
-    times the points of the cheaper window feeder. The pairs are counted
-    only if a lower bound from the occupied windows' events leaves the
-    pair feeder a chance, and the count stops past that limit, so dense
-    streams skip it. Beside bin_idx, a dense stream (no more windows than
-    events, too many pairs) holds window-sized arrays and one batch of
-    about _CHUNK_POINTS points at a time; any other a few event-sized
-    arrays. The windows' float sums are rounded.
+    _close_gaps first shortens the gaps in bin_idx itself, so every
+    window of L = m - 2 k_max >= 4 k_max bins (m from _count_window)
+    holds an event. _pair_lag_sums then counts pair differences with no
+    transform while the pairs within k_max number at most _PAIR_COST
+    times the windows * m points _span_rows would transform; any other
+    stream takes _span_rows, each batch of windows from one histogram of
+    its span (its float sums are rounded). The pairs are counted only if
+    a lower bound from the events of each window leaves the pair feeder
+    a chance, and the count stops past that limit, so dense streams skip
+    it. Beside bin_idx, the window feeder holds per-window counts and one
+    batch of about _CHUNK_POINTS points at a time, the pair feeder a few
+    event-sized arrays.
     """
-    m = _count_window(bin_idx.size, n_bins, k_max)
+    _close_gaps(bin_idx, k_max)
+    n_bins = int(bin_idx[-1]) + 1
+    m = _count_window(n_bins, k_max)
     block = m - 2 * k_max
     windows = -(-n_bins // block)
-    starts, events = _occupied_windows(bin_idx, block, windows)
-    # The listed feeder's gather costs about one point per event (1e6
-    # events at 0.5 per bin, k_max 120: +37 ms on 2.2e6 points).
-    span, listed = windows * m, starts.size * m + bin_idx.size
-    limit = _PAIR_COST * min(span, listed)
+    events = np.diff(np.searchsorted(bin_idx, np.arange(windows + 1) * block))
+    limit = _PAIR_COST * windows * m
     if _pair_floor(events, block, k_max) <= limit:
         reach = _pair_reach(bin_idx, k_max, limit)
         if reach is not None:
             return _pair_lag_sums(bin_idx, k_max, reach)
-    if listed < span:
-        rows = _listed_rows(bin_idx, starts, block, k_max)
-    else:
-        rows = _span_rows(bin_idx, windows, block, k_max)
+    rows = _span_rows(bin_idx, windows, block, k_max)
     return np.rint(_window_lag_sums(rows, block, k_max))
 
 
@@ -483,11 +442,11 @@ def g2_from_counts(
 
     The pair counts are exact integers, taken from the sorted events with
     no histogram of the whole stream (_count_lag_sums): memory follows the
-    number of events, not duration / bin_width. Each stream takes the
-    cheapest of three feeders: dense ones are histogrammed one batch of
-    windows at a time, clustered ones transform only their occupied
-    windows, and isolated events cost O(events + pairs) through their pair
-    differences, so long stretches with no events cost little.
+    number of events, not duration / bin_width. Gaps longer than max_delay
+    are first closed to one bin past it, which changes no pair count, so
+    long stretches with no events cost nothing. Then isolated events cost
+    O(events + pairs) through their pair differences, and every other
+    stream is histogrammed one batch of windows at a time.
     """
     for name, value in (("bin_width", bin_width), ("max_delay", max_delay)):
         if not 0 < value < np.inf:
@@ -522,7 +481,7 @@ def g2_from_counts(
         raise InvalidArgumentError("max_delay exceeds half the stream duration")
     total = float(bin_idx.size)
     mean_per_bin = total / n_bins
-    raw = _count_lag_sums(bin_idx, n_bins, k_max)
+    raw = _count_lag_sums(bin_idx, k_max)
     pair_counts = np.empty(k_max + 1)
     pair_counts[0] = raw[0] - total  # sum n(n-1)
     pair_counts[1:] = raw[1:]

@@ -414,9 +414,10 @@ def test_count_lag_sums_are_exact_pair_counts(
     bin_idx = np.floor(np.cumsum(gaps) - gaps[0]).astype(np.int64)
     n_bins = int(bin_idx[-1]) + 1
     k_max = min(k_max, n_bins // 2 - 1)
-    # The window length g2_from_counts will use: edges are offsets 0,
-    # L - 1 and the first k_max bins of a window.
-    block = correlation._count_window(n_events, n_bins, k_max) - 2 * k_max
+    # The window length of the span: edges are offsets 0, L - 1 and the
+    # first k_max bins of a window. They stay edges in streams with no gap
+    # for _close_gaps to close.
+    block = correlation._count_window(n_bins, k_max) - 2 * k_max
     moved = rng.choice(np.arange(1, n_events - 1), min(n_edges, n_events - 2), replace=False)
     window = rng.integers(0, (n_bins - 1) // block + 1, moved.size)
     kind = rng.integers(0, 3, moved.size)
@@ -433,8 +434,13 @@ def test_count_lag_sums_are_exact_pair_counts(
     times.sort()
     bin_idx = np.floor(times).astype(np.int64)
 
-    sums = correlation._count_lag_sums(bin_idx, n_bins, k_max)
-    assert np.array_equal(sums, pair_difference_counts(bin_idx, k_max))
+    expected = pair_difference_counts(bin_idx, k_max)
+    closed = bin_idx.copy()
+    correlation._close_gaps(closed, k_max)
+    assert closed[-1] < n_events * (k_max + 1)
+    assert np.array_equal(pair_difference_counts(closed, k_max), expected)
+    sums = correlation._count_lag_sums(bin_idx.copy(), k_max)
+    assert np.array_equal(sums, expected)
     est = g2_from_counts(times, 1.0, float(k_max))
     assert np.array_equal(est.values, counts_g2(bin_idx, n_bins, k_max))
 
@@ -479,7 +485,7 @@ def test_counts_of_a_million_isolated_tags():
     # in 1e12 bins, counted from their differences with no transform.
     times = np.sort(rng_for(16, 2).uniform(0.0, 1.0, 1_000_000))
     est, peak = _alloc_peak_mb(lambda: g2_from_counts(times, 1e-12, 1e-8))
-    assert peak < 64
+    assert peak < 32
     bin_idx = np.floor((times - times[0]) / 1e-12).astype(np.int64)
     expected = counts_g2(bin_idx, int(bin_idx[-1]) + 1, 10_000)
     assert np.array_equal(est.values, expected)
@@ -494,27 +500,29 @@ def histogram_lag_sums(bin_idx, k_max):
     return np.array([hist[occupied] @ hist[occupied + k] for k in range(k_max + 1)])
 
 
-def feeder_lag_sums(bin_idx, k_max):
-    """Each feeder's lag sums at the window length _count_lag_sums uses."""
-    n_bins = int(bin_idx[-1]) + 1
-    m = correlation._count_window(bin_idx.size, n_bins, k_max)
-    block = m - 2 * k_max
+def closed_windows(bin_idx, k_max):
+    """The stream with its gaps closed, as _count_lag_sums leaves it, and
+    its window length, window count and per-window events."""
+    closed = bin_idx.copy()
+    correlation._close_gaps(closed, k_max)
+    n_bins = int(closed[-1]) + 1
+    block = correlation._count_window(n_bins, k_max) - 2 * k_max
     windows = -(-n_bins // block)
-    starts, _ = correlation._occupied_windows(bin_idx, block, windows)
-    span = correlation._span_rows(bin_idx, windows, block, k_max)
-    listed = correlation._listed_rows(bin_idx, starts, block, k_max)
+    events = np.diff(np.searchsorted(closed, np.arange(windows + 1) * block))
+    return closed, block, windows, events
+
+
+def feeder_lag_sums(bin_idx, k_max):
+    """Each feeder's lag sums on the closed stream, at the window length
+    _count_lag_sums uses."""
+    closed, block, windows, _ = closed_windows(bin_idx, k_max)
+    span = correlation._span_rows(closed, windows, block, k_max)
     return {
         "span": np.rint(sources._window_lag_sums(span, block, k_max)),
-        "listed": np.rint(sources._window_lag_sums(listed, block, k_max)),
         "pairs": correlation._pair_lag_sums(
-            bin_idx, k_max, correlation._pair_reach(bin_idx, k_max, np.inf)
+            closed, k_max, correlation._pair_reach(closed, k_max, np.inf)
         ),
     }
-
-
-def occupied_reference(bin_idx, block):
-    window, events = np.unique(bin_idx // block, return_counts=True)
-    return window * block, events
 
 
 def count_stream(kind, n_events, k_max, rng):
@@ -560,38 +568,28 @@ def test_count_feeders_match_a_dense_histogram(kind, n_events, k_max, dup_frac, 
     for name, sums in feeders.items():
         assert np.array_equal(sums, expected), name
     # The counts the feeder is picked from: pairs within k_max, never below
-    # their floor, and the occupied windows from either the window edges or
-    # the events.
+    # their floor from the events of each window of the closed stream.
     pairs = expected[1:].sum() + (expected[0] - bin_idx.size) // 2
-    assert correlation._pair_reach(bin_idx, k_max, pairs) is not None
-    assert correlation._pair_reach(bin_idx, k_max, pairs - 0.5) is None
-    block = correlation._count_window(bin_idx.size, int(bin_idx[-1]) + 1, k_max) - 2 * k_max
-    windows = int(bin_idx[-1]) // block + 1
-    for assumed in {windows, max(windows, bin_idx.size + 1)}:
-        found = correlation._occupied_windows(bin_idx, block, assumed)
-        for got, want in zip(found, occupied_reference(bin_idx, block)):
-            assert np.array_equal(got, want)
-    assert correlation._pair_floor(found[1], block, k_max) <= pairs
+    closed, block, _, events = closed_windows(bin_idx, k_max)
+    for stream in (bin_idx, closed):
+        assert correlation._pair_reach(stream, k_max, pairs) is not None
+        assert correlation._pair_reach(stream, k_max, pairs - 0.5) is None
+    assert events.sum() == bin_idx.size
+    assert correlation._pair_floor(events, block, k_max) <= pairs
 
 
 def test_counts_near_the_top_of_the_int64_bin_range():
-    # The last bin lies 4096 below 2^63, so a bin plus k_max, or a window
-    # start plus its width, would wrap around in int64. 300 tags a few
-    # ulps apart at the end of the stream hold every pair.
+    # The last bin lies 4096 below 2^63, so a bin plus k_max would wrap
+    # around in int64. 300 tags a few ulps apart at the end of the stream
+    # hold every pair.
     end = 1.0 - np.arange(300) * 2.0**-52
     times = np.sort(np.concatenate([[0.0], rng_for(16, 3).uniform(0.0, 0.9, 800), end]))
     bin_width = 1.0 / (2.0**63 - 4096)
     bin_idx = np.floor(times / bin_width).astype(np.int64)
     n_bins = int(bin_idx[-1]) + 1
-    tail = bin_idx[-300:]
     for k_max in (3_000, 20_000, 700_000):
         est = g2_from_counts(times, bin_width, k_max * bin_width)
         assert np.array_equal(est.values, counts_g2(bin_idx, n_bins, k_max))
-        block = correlation._count_window(times.size, n_bins, k_max) - 2 * k_max
-        starts, _ = correlation._occupied_windows(tail, block, -(-n_bins // block))
-        rows = correlation._listed_rows(tail, starts, block, k_max)
-        sums = np.rint(sources._window_lag_sums(rows, block, k_max))
-        assert np.array_equal(sums, pair_difference_counts(tail, k_max))
     assert np.count_nonzero(est.values[1:]) > 100
 
 
@@ -599,8 +597,8 @@ def test_counts_near_the_top_of_the_int64_bin_range():
     "kind, feeder",
     [
         ("dense", "_span_rows"),
-        ("clustered", "_listed_rows"),
-        ("burst", "_listed_rows"),
+        ("clustered", "_span_rows"),
+        ("burst", "_span_rows"),
         ("isolated", "_pair_lag_sums"),
         ("sparse", "_pair_lag_sums"),
     ],
@@ -612,17 +610,17 @@ def test_count_lag_sums_takes_the_feeder_of_the_stream(kind, feeder):
     elif kind == "clustered":  # 50 bunches of 400 events within 100 bins
         bunch = rng.integers(0, 100, (50, 400)) + np.arange(50)[:, None] * 10**6
         bin_idx, k_max = bunch.ravel(), 100
-    elif kind == "burst":  # 1e5 events in 1e5 bins and one far out: about
-        # as many events as windows, nearly all of them empty
+    elif kind == "burst":  # 1e5 events in 1e5 bins and one far out, whose
+        # gap closes to k_max + 1 bins
         bin_idx = np.append(rng.integers(0, 100_000, 100_000), 129_000_000)
         k_max = 120
     elif kind == "isolated":  # 2 000 events over 1e12 bins
         bin_idx, k_max = rng.integers(0, 10**12, 2_000), 1_000
-    else:  # 2e4 events over 1e9 bins, more than windows, few pairs
+    else:  # 2e4 events over 1e9 bins, few pairs
         bin_idx, k_max = rng.integers(0, 10**9, 20_000), 10_000
     bin_idx.sort()
     bin_idx -= bin_idx[0]
-    names = ("_span_rows", "_listed_rows", "_pair_lag_sums")
+    names = ("_span_rows", "_pair_lag_sums")
     with contextlib.ExitStack() as stack:
         spies = {
             name: stack.enter_context(
@@ -630,7 +628,7 @@ def test_count_lag_sums_takes_the_feeder_of_the_stream(kind, feeder):
             )
             for name in names
         }
-        sums = correlation._count_lag_sums(bin_idx, int(bin_idx[-1]) + 1, k_max)
+        sums = correlation._count_lag_sums(bin_idx.copy(), k_max)
     assert [name for name in names if spies[name].called] == [feeder]
     assert np.array_equal(sums, pair_difference_counts(bin_idx, k_max))
 
