@@ -308,23 +308,30 @@ def _close_gaps(bin_idx: np.ndarray, k_max: int) -> None:
     k_max spans such a gap, so the lag sums to k_max stay, and the span
     is then at most N (k_max + 1) bins for N events."""
     gaps = np.diff(bin_idx)
+    # A dense stream often has no such gap: then bin_idx stays as it is.
+    if gaps.max() <= k_max:
+        return
     np.minimum(gaps, k_max + 1, out=gaps)
     np.cumsum(gaps, out=bin_idx[1:])
 
 
-def _span_rows(bin_idx: np.ndarray, windows: int, block: int, k_max: int):
-    """Rows of _window_lag_sums for all windows of L = block bins, in
-    batches of about _CHUNK_POINTS transformed points: one np.bincount of
-    the bins [w0 L, w1 L + k_max) per batch, viewed as overlapping rows
-    (as floats: the transforms read them faster than int64)."""
-    step = max(1, _CHUNK_POINTS // (block + 2 * k_max))
-    for w0 in range(0, windows, step):
-        w1 = min(w0 + step, windows)
+def _span_rows(bin_idx: np.ndarray, block: int, k_max: int):
+    """The rows(w0, w1) of _window_lag_sums for the windows of L = block
+    bins: one np.bincount of the bins [w0 L, w1 L + k_max) per call,
+    viewed as overlapping rows (as floats: the transforms read them faster
+    than int64). Each batch, or each thread's part of one, builds its own
+    histogram. The view is one np.ndarray call: sliding_window_view makes
+    a few dozen Python objects, and threads that make them contend for
+    the GIL."""
+
+    def rows(w0: int, w1: int) -> np.ndarray:
         lo, hi = np.searchsorted(bin_idx, (w0 * block, w1 * block + k_max))
         hist = np.bincount(
             bin_idx[lo:hi] - w0 * block, minlength=(w1 - w0) * block + k_max
         ).astype(float)
-        yield np.lib.stride_tricks.sliding_window_view(hist, block + k_max)[::block]
+        return np.ndarray((w1 - w0, block + k_max), float, hist, strides=(8 * block, 8))
+
+    return rows
 
 
 def _pair_floor(events: np.ndarray, block: int, k_max: int) -> float:
@@ -406,7 +413,8 @@ def _count_lag_sums(bin_idx: np.ndarray, k_max: int) -> np.ndarray:
     a lower bound from the events of each window leaves the pair feeder
     a chance, and the count stops past that limit, so dense streams skip
     it. Beside bin_idx, the window feeder holds per-window counts and one
-    batch of about _CHUNK_POINTS points at a time, the pair feeder a few
+    batch of about _CHUNK_POINTS points at a time (a sub-chunk per thread
+    when _window_lag_sums runs threaded), the pair feeder a few
     event-sized arrays.
     """
     _close_gaps(bin_idx, k_max)
@@ -420,8 +428,8 @@ def _count_lag_sums(bin_idx: np.ndarray, k_max: int) -> np.ndarray:
         reach = _pair_reach(bin_idx, k_max, limit)
         if reach is not None:
             return _pair_lag_sums(bin_idx, k_max, reach)
-    rows = _span_rows(bin_idx, windows, block, k_max)
-    return np.rint(_window_lag_sums(rows, block, k_max))
+    rows = _span_rows(bin_idx, block, k_max)
+    return np.rint(_window_lag_sums(rows, windows, block, k_max))
 
 
 # Bin indices below this float (2^63) cast to int64 exactly.

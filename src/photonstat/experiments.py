@@ -477,7 +477,7 @@ def reproduce_fig2(
             trace_dt=dt,
         )
 
-    sweeps = thread_map(_run, jobs, threads)
+    sweeps = list(thread_map(_run, jobs, threads))
     panels = [
         (a.label, dict(zip(source_keys, sweeps[i * n_src : (i + 1) * n_src])))
         for i, a in enumerate(absorbers)

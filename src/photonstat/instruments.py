@@ -345,10 +345,12 @@ def hbt_ensemble(
         )
     delays = np.arange(0.0, max_delay + step / 2.0, step)
     tail = (float(tail_start_over_tauc) * tau_c, max_delay)
-    scans = thread_map(
-        lambda seed: hbt_scan(make_trace(spec, duration, dt, seed), delays),
-        seeds,
-        threads,
+    scans = list(
+        thread_map(
+            lambda seed: hbt_scan(make_trace(spec, duration, dt, seed), delays),
+            seeds,
+            threads,
+        )
     )
     raw_mean = np.mean([s.raw_signal for s in scans], axis=0)
     filt_mean = np.mean([s.filtered_signal for s in scans], axis=0)

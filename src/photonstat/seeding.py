@@ -26,15 +26,20 @@ def rng_for(master_seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def thread_map(func, items, threads: int = 1) -> list:
-    """[func(item) for item in items], computed on up to threads threads.
+def thread_map(func, items, threads: int = 1):
+    """func(item) for item in items, in order, computed on up to threads
+    threads; an iterator.
 
-    concurrent.futures (and the logging it loads) is imported only when
-    threads > 1, so a single-threaded process never loads the pool.
+    All items are submitted at once, and each result is handed on as soon
+    as it and those before it are done, so a caller that folds the results
+    in as they come holds only those not yet taken. concurrent.futures (and
+    the logging it loads) is imported only when threads > 1, so a
+    single-threaded process never loads the pool.
     """
     if threads <= 1:
-        return [func(item) for item in items]
+        yield from map(func, items)
+        return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
+        yield from pool.map(func, items)

@@ -21,6 +21,8 @@ make_trace builds every class and is a pure function of
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
@@ -33,7 +35,7 @@ from .errors import (
     InvalidArgumentError,
     SamplingError,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed, rng_for, thread_map
 
 __all__ = [
     "FieldTrace",
@@ -54,9 +56,14 @@ SPECTRAL_SHAPES = ("gaussian", "lorentzian")
 # coherence_time truncation and by its decay precondition.
 G1_DECAY_THRESHOLD = 0.05
 # Block geometry of _lag_sums: the shortest block, and the points
-# _block_lag_sums transforms per batch of windows.
+# _window_lag_sums transforms per batch of windows.
 _LAG_BLOCK = 8192
 _CHUNK_POINTS = 1 << 20
+# Threads that transform the sub-chunks of _window_lag_sums: the
+# process's CPUs.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 # Margin of the no-decay certificate over G1_DECAY_THRESHOLD, far above the
 # rounding of the sums it is computed from.
 _CERTIFICATE_MARGIN = 1e-9
@@ -544,44 +551,76 @@ def _block_lag_sums(x: np.ndarray, block: int, nb: int, max_lag: int, per_block=
 
     Row b sums conj(x[bL + t]) x[bL + t + k] over t < L = block, k <= max_lag
     (nb L + max_lag <= n); per_block returns the rows, else their sum. The
-    windows x[bL : bL + L + max_lag] go to _window_lag_sums in batches of
-    about _CHUNK_POINTS transformed points.
+    windows x[bL : bL + L + max_lag] are rows of one strided view of x,
+    which _window_lag_sums reads a range of rows at a time; nothing is
+    copied until a row is transformed.
     """
-    m = _fft_len(block + 2 * max_lag)
-    windows = np.lib.stride_tricks.sliding_window_view(x, block + max_lag)
-    step = max(1, _CHUNK_POINTS // m)
-    batches = (
-        windows[b0 * block : min(nb, b0 + step) * block : block]
-        for b0 in range(0, nb, step)
-    )
-    return _window_lag_sums(batches, block, max_lag, per_block)
+    windows = np.lib.stride_tricks.sliding_window_view(x, block + max_lag)[::block]
+    return _window_lag_sums(lambda a, b: windows[a:b], nb, block, max_lag, per_block)
 
 
-def _window_lag_sums(batches, block: int, max_lag: int, per_block=False):
+def _window_lag_sums(rows, count: int, block: int, max_lag: int, per_block=False):
     """Lag sums of the pairs that start in the first L = block values of
-    each window row, for k <= max_lag.
+    each of count window rows, for k <= max_lag.
 
-    Each batch is an array of rows w of L + max_lag values. Every row is
-    transformed once at m = _fft_len(L + 2 max_lag) points and |W|^2
-    inverted, less the lag sums of its overlap w[L:] (from
-    _fft_len(2 max_lag) points). per_block returns one row of sums
+    rows(a, b) returns rows a..b-1, each a window w of L + max_lag values;
+    the rows go through in batches of about _CHUNK_POINTS transformed
+    points. Every row is transformed once at m = _fft_len(L + 2 max_lag)
+    points and |W|^2 inverted, less the lag sums of its overlap w[L:]
+    (from _fft_len(2 max_lag) points). per_block returns one row of sums
     per window, else their sum; for the sum, spectra add up per batch.
+
+    A call of at least _CHUNK_POINTS points made on the main thread cuts
+    each batch into sub-chunks of about _CHUNK_POINTS / 16 points, which
+    _WORKERS threads build and transform (numpy's FFTs release the GIL).
+    Calls from thread_map workers (hbt --threads,
+    reproduce_fig2(threads=...)) stay serial, a batch per task, so no
+    pool is nested.
+
+    The bits do not depend on the worker count. A row's per-block sums are
+    its own. For the sum, the main thread folds each batch's spectra into
+    its running sum as they come, and holds only those not yet folded in:
+    numpy sums a C-ordered array of two or more columns along axis 0 one
+    row after another, so the running sum is power.sum(axis=0) of the
+    whole batch, bit for bit.
     """
     sizes = (_fft_len(block + 2 * max_lag), _fft_len(2 * max_lag))
-    rows = []
-    for chunk in batches:
+    step = max(1, _CHUNK_POINTS // sizes[0])
+    workers = 1
+    if count * sizes[0] >= _CHUNK_POINTS and threading.current_thread() is threading.main_thread():
+        workers = _WORKERS
+    span = max(1, (_CHUNK_POINTS >> 4) // sizes[0]) if workers > 1 else step
+    batches = [(a, min(a + step, count)) for a in range(0, count, step)]
+    # Sub-chunks as (first row, end, last of its batch).
+    subs = [(c, min(c + span, b), c + span >= b) for a, b in batches for c in range(a, b, span)]
+
+    def work(sub):
+        chunk = rows(sub[0], sub[1])
         real = not np.iscomplexobj(chunk)
         fft = np.fft.rfft if real else np.fft.fft
-        sums = []
+        parts = []
         for part, size in zip((chunk, chunk[:, block:]), sizes):
             spec = fft(part, size)
             power = np.square(spec.real)
             power += np.square(spec.imag)
             del spec
-            power = power if per_block else power.sum(axis=0, keepdims=True)
-            sums.append(_power_lag_sums(power, size, max_lag, real))
-        rows.append(sums[0] - sums[1])
-    return np.concatenate(rows) if per_block else sum(rows)[0]
+            parts.append(_power_lag_sums(power, size, max_lag, real) if per_block else power)
+        return parts[0] - parts[1] if per_block else (sub[2], real, parts)
+
+    done = thread_map(work, subs, workers)
+    if per_block:
+        return np.concatenate(list(done))
+    total, totals = 0, None
+    for last, real, powers in done:
+        if totals is not None:
+            powers = [np.concatenate(pair) for pair in zip(totals, powers)]
+        totals = [power.sum(axis=0, keepdims=True) for power in powers]
+        del powers  # before the next sub-chunk is transformed
+        if last:
+            sums = [_power_lag_sums(t, size, max_lag, real) for t, size in zip(totals, sizes)]
+            total = total + (sums[0] - sums[1])
+            totals = None
+    return total[0]
 
 
 def _g1_magnitude(samples: np.ndarray, max_lag: int) -> np.ndarray:
@@ -607,7 +646,10 @@ def _g1_floor(samples: np.ndarray) -> float:
     n = samples.size
     mean = complex(samples.mean())
     mean_sq = mean.real * mean.real + mean.imag * mean.imag
-    power = float(np.vdot(samples, samples).real) / n
+    # einsum, not np.vdot: OpenBLAS's idle threads would spin on a second
+    # CPU through the threaded lag sums that follow.
+    flat = samples.view(np.float64) if samples.flags.c_contiguous else abs(samples)
+    power = float(np.einsum("i,i->", flat, flat)) / n
     if not (_SMALLEST_NORMAL <= power and 4.0 * n * n * power < math.inf):
         return math.nan
     spread_sq = max(power - mean_sq, 0.0)

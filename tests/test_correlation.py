@@ -445,6 +445,25 @@ def test_count_lag_sums_are_exact_pair_counts(
     assert np.array_equal(est.values, counts_g2(bin_idx, n_bins, k_max))
 
 
+def test_close_gaps_rewrites_only_a_stream_with_a_gap():
+    # Gaps of 0 to k_max = 120 bins, one of them k_max itself: nothing to
+    # close, and the read-only stream is not written. Widening one gap past
+    # k_max closes it to k_max + 1 and moves every later bin with it.
+    rng = rng_for(18, 4)
+    gaps = rng.integers(0, 121, 10_000)
+    gaps[[0, 3_000]] = 0, 120
+    gapless = np.cumsum(gaps)
+    gapless.flags.writeable = False
+    correlation._close_gaps(gapless, 120)
+    assert np.array_equal(gapless, np.cumsum(gaps))
+    gapped = gapless.copy()
+    gapped[5_000:] += 1_000
+    correlation._close_gaps(gapped, 120)
+    expected = gapless.copy()
+    expected[5_000:] += 121 - gaps[5_000]
+    assert np.array_equal(gapped, expected)
+
+
 def _alloc_peak_mb(func):
     tracemalloc.start()
     try:
@@ -516,9 +535,9 @@ def feeder_lag_sums(bin_idx, k_max):
     """Each feeder's lag sums on the closed stream, at the window length
     _count_lag_sums uses."""
     closed, block, windows, _ = closed_windows(bin_idx, k_max)
-    span = correlation._span_rows(closed, windows, block, k_max)
+    span = correlation._span_rows(closed, block, k_max)
     return {
-        "span": np.rint(sources._window_lag_sums(span, block, k_max)),
+        "span": np.rint(sources._window_lag_sums(span, windows, block, k_max)),
         "pairs": correlation._pair_lag_sums(
             closed, k_max, correlation._pair_reach(closed, k_max, np.inf)
         ),
@@ -563,7 +582,9 @@ def test_count_feeders_match_a_dense_histogram(kind, n_events, k_max, dup_frac, 
     bin_idx[repeat] = bin_idx[repeat - 1]
     bin_idx.sort()
     expected = histogram_lag_sums(bin_idx, k_max)
-    with mock.patch.object(correlation, "_CHUNK_POINTS", chunk):
+    with mock.patch.object(correlation, "_CHUNK_POINTS", chunk), mock.patch.object(
+        sources, "_CHUNK_POINTS", chunk
+    ):
         feeders = feeder_lag_sums(bin_idx, k_max)
     for name, sums in feeders.items():
         assert np.array_equal(sums, expected), name

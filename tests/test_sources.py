@@ -3,6 +3,7 @@
 import dataclasses
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 
 from photonstat import sources
-from photonstat.correlation import gn_zero
+from photonstat.correlation import g2_from_counts, gn_zero
 from photonstat.errors import (
     DegenerateInputError,
     EstimationError,
@@ -19,7 +20,7 @@ from photonstat.errors import (
     SamplingError,
 )
 from photonstat.presets import absorber_preset, chain_preset, source_preset
-from photonstat.seeding import rng_for
+from photonstat.seeding import rng_for, thread_map
 from photonstat.sources import (
     G1_DECAY_THRESHOLD,
     SPEED_OF_LIGHT,
@@ -414,6 +415,102 @@ def test_lag_sums_match_brute_force(kind, n, max_lag):
     tol = 1e-12 * float(np.vdot(x, x).real)
     assert np.all(np.abs(sums[lags] - brute) <= tol)
 
+
+def pooled_lag_sums(func, workers):
+    """func() with _window_lag_sums on `workers` threads, and whether it
+    handed sub-chunks to a pool of more than one thread."""
+    with mock.patch.object(sources, "_WORKERS", workers), mock.patch.object(
+        sources, "thread_map", wraps=sources.thread_map
+    ) as spy:
+        result = func()
+    return result, any(call.args[2] > 1 for call in spy.call_args_list)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["real", "complex"]),
+    per_block=st.booleans(),
+    count=st.integers(1, 80),
+    max_lag=st.integers(0, 100),
+    extra=st.integers(1, 400),
+    chunk=st.sampled_from([1 << 9, 1 << 12, 1 << 15]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_lag_sums_bits_do_not_depend_on_the_worker_count(
+    kind, per_block, count, max_lag, extra, chunk, seed
+):
+    # Chunks of 512 points put one row in each sub-chunk; of 2^15, a few
+    # rows in each and a few sub-chunks in each batch. Three workers
+    # outnumber the CPUs of a 2-CPU machine.
+    rng = np.random.default_rng(seed)
+    block = 4 * max_lag + extra
+    n = count * block + max_lag
+    x = rng.standard_normal(n)
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(n)
+    windows = np.lib.stride_tricks.sliding_window_view(x, block + max_lag)[::block]
+    with mock.patch.object(sources, "_CHUNK_POINTS", chunk):
+        runs = {
+            workers: pooled_lag_sums(
+                lambda: sources._window_lag_sums(
+                    lambda a, b: windows[a:b], count, block, max_lag, per_block
+                ),
+                workers,
+            )
+            for workers in (1, 2, 3)
+        }
+    serial, used_pool = runs.pop(1)
+    assert not used_pool
+    for threaded, pooled in runs.values():
+        assert serial.tobytes() == threaded.tobytes()
+        assert pooled == (count * _fft_len(block + 2 * max_lag) >= chunk)
+
+
+def test_count_bits_do_not_depend_on_the_worker_count():
+    # A dense stream, about one event per bin: its lag sums come from the
+    # window feeder, in several batches at chunks of 2^14 points.
+    times = rng_for(18, 1).uniform(0.0, 40_000.0, 40_000)
+    with mock.patch.object(sources, "_CHUNK_POINTS", 1 << 14):
+        runs = {
+            workers: pooled_lag_sums(lambda: g2_from_counts(times, 1.0, 60.0), workers)
+            for workers in (1, 2)
+        }
+    (serial, used_pool), (threaded, pooled) = runs[1], runs[2]
+    assert not used_pool and pooled
+    for field in ("delays", "values", "std_errors"):
+        assert getattr(serial, field).tobytes() == getattr(threaded, field).tobytes()
+
+
+def test_lag_sums_in_a_thread_map_worker_stay_serial(monkeypatch):
+    # Only the main thread splits a batch, so a pool is never nested.
+    monkeypatch.setattr(sources, "_CHUNK_POINTS", 1 << 12)
+    x = rng_for(18, 2).standard_normal(40_000) + 0j
+    expected, _ = pooled_lag_sums(lambda: [_lag_sums(x, k) for k in (50, 300)], 1)
+    inner, used_pool = pooled_lag_sums(
+        lambda: list(thread_map(lambda k: _lag_sums(x, k), [50, 300], 2)), 2
+    )
+    assert not used_pool
+    main, pooled = pooled_lag_sums(lambda: [_lag_sums(x, k) for k in (50, 300)], 2)
+    assert pooled
+    for sums in (inner, main):
+        assert [s.tobytes() for s in sums] == [s.tobytes() for s in expected]
+
+
+def test_pooled_lag_sums_peak_memory(monkeypatch):
+    # A 2e6-sample complex trace to 2048 lags: each worker holds the
+    # spectra of its sub-chunk, the main thread one batch's power spectra
+    # (one batch's complex spectra, 32 MB, on a single thread).
+    monkeypatch.setattr(sources, "_WORKERS", 2)
+    rng = rng_for(18, 3)
+    x = rng.standard_normal(2_000_000) + 1j * rng.standard_normal(2_000_000)
+    _lag_sums(x[:200_000], 2048)  # first-call set-up is not the pass
+    tracemalloc.start()
+    try:
+        _lag_sums(x, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 def test_coherence_time_needs_decay():
     spec = SourceSpec(
