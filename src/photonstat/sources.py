@@ -16,10 +16,16 @@ supported:
 
 make_trace builds every class and is a pure function of
 (spec, duration, dt, seed).
+
+On glibc, importing the package fixes malloc's trim and mmap thresholds
+(256 and 64 MiB) so freed temporaries stay in the heap instead of being
+faulted in afresh; a MALLOC_*_ variable or a glibc.malloc. tunable keeps
+the user's own setting. No result depends on it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -64,6 +70,39 @@ _CHUNK_POINTS = 1 << 20
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
+# glibc's dynamic mmap and trim thresholds give each freed 1-32 MB array
+# back to the OS, and the next one faults it in again, zeroed page by page.
+# Fixed thresholds keep arrays below 64 MiB in the heap and trim it only
+# past 256 MiB free at the top. Both must be set: either one alone turns the
+# dynamic threshold off and leaves the other at its small default.
+_MALLOC_ENV = (
+    "MALLOC_TRIM_THRESHOLD_",
+    "MALLOC_MMAP_THRESHOLD_",
+    "MALLOC_TOP_PAD_",
+    "MALLOC_MMAP_MAX_",
+)
+
+
+def _set_heap_policy() -> None:
+    """Fix glibc's trim and mmap thresholds, unless the platform is not
+    glibc or the environment configures malloc itself."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return
+    if not libc.startswith("glibc") or any(k in os.environ for k in _MALLOC_ENV):
+        return
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD
+
+
+_set_heap_policy()
+
 # Margin of the no-decay certificate over G1_DECAY_THRESHOLD, far above the
 # rounding of the sums it is computed from.
 _CERTIFICATE_MARGIN = 1e-9
