@@ -304,18 +304,19 @@ def cmd_hbt(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def _experiment_pieces(cfg: RunConfig):
+    """The experiment section, its chain and its measured powers. Sources
+    and absorbers are left to each subcommand, which resolves only those
+    it runs."""
     exp = cfg.data["experiment"]
-    sources = [resolve_source(cfg.data, n) for n in exp["sources"]]
-    absorbers = [resolve_absorber(cfg.data, n) for n in exp["fluorophores"]]
     chain = resolve_chain(cfg.data, exp["chain"])
     powers = np.geomspace(
         float(exp["power_min_w"]), float(exp["power_max_w"]), int(exp["n_powers"])
     )
-    return exp, sources, absorbers, chain, powers
+    return exp, chain, powers
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
-    exp, sources, absorbers, chain, powers = _experiment_pieces(cfg)
+    exp, chain, powers = _experiment_pieces(cfg)
     source_name = args.source or exp["sources"][0]
     fluor_name = args.fluorophore or exp["fluorophores"][0]
     spec = resolve_source(cfg.data, source_name)
@@ -478,10 +479,10 @@ def _write_fig2(
 
 
 def cmd_reproduce_fig2(cfg: RunConfig, args: argparse.Namespace) -> None:
-    exp, sources, absorbers, chain, powers = _experiment_pieces(cfg)
+    exp, chain, powers = _experiment_pieces(cfg)
     report = reproduce_fig2(
-        sources=sources,
-        absorbers=absorbers,
+        sources=[resolve_source(cfg.data, n) for n in exp["sources"]],
+        absorbers=[resolve_absorber(cfg.data, n) for n in exp["fluorophores"]],
         chain=chain,
         powers=powers,
         repeats=int(exp["repeats"]),

@@ -4,6 +4,12 @@ Every error raised by the package derives from PhotonstatError, so callers
 can catch one base class. The CLI maps these onto exit codes.
 """
 
+__all__ = [
+    "PhotonstatError", "InvalidArgumentError", "SamplingError", "DegenerateInputError",
+    "InsufficientDataError", "EstimationError", "ModelDomainError", "OutOfModelError",
+    "DivisionDomainError", "ConfigError", "FormatError", "AcceptanceError",
+]
+
 
 class PhotonstatError(Exception):
     """Base class for all package errors."""

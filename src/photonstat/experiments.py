@@ -40,9 +40,7 @@ __all__ = [
     "power_sweep",
     "fit_quadratic",
     "enhancement_ratio",
-    "fig2_panel",
     "fig2_report",
-    "error_budget",
     "reproduce_fig2",
 ]
 
@@ -127,7 +125,7 @@ def calibrate_dipole(
         raise InvalidArgumentError("calibration target and power must be positive")
     unit_dipole = replace(absorber, dipole_sq=1.0)
     per_dipole = fluorescence_counts(
-        at_power_measured, 1.0, unit_dipole, replace(chain, dark_rate=0.0), 0, noise=False
+        at_power_measured, 1.0, unit_dipole, replace(chain, dark_rate=0.0)
     )
     if not per_dipole > 0:
         raise InvalidArgumentError(
@@ -176,10 +174,7 @@ def power_sweep(
         raise InvalidArgumentError(
             f"statistics_mode must be 'nominal' or 'trace', got {statistics_mode!r}"
         )
-    expected = [
-        fluorescence_counts(p, g2_value, absorber, chain, 0, noise=False)
-        for p in powers
-    ]
+    expected = [fluorescence_counts(p, g2_value, absorber, chain) for p in powers]
     counts = np.repeat(np.array(expected)[:, None], repeats, axis=1)
     if noise:
         counts = _poisson_counts(rng_for(seed, 1), counts)

@@ -1,5 +1,9 @@
-"""Measurement-chain models: photon counting, the two-photon-detector
-Michelson interferometer, and the fluorescence collection path.
+"""Measurement-chain models: the two-photon-detector Michelson
+interferometer and the fluorescence detection path.
+
+The fluorescence path turns an excitation power into the expected
+detected count (fluorescence_counts); power_sweep draws Poisson counts
+of that mean.
 
 The interferometer splits the field into two balanced arms, delays one by
 tau, recombines, and reads the result with an ideal quadratic (two-photon)
@@ -8,8 +12,7 @@ detector:
     raw(tau) = < |E(t) + exp(-i omega tau) E(t + tau)|^4 > / 16
 
 The carrier phase omega*tau produces fringes at the optical period.
-Averaging them out (analytically over the phase, or numerically with a
-boxcar spanning one fringe period) leaves the envelope
+Averaging them out over the phase, in closed form, leaves the envelope
 
     S(tau) = ( <I(t)^2> + <I(t+tau)^2> + 4 <I(t) I(t+tau)> ) / 16
 
@@ -30,7 +33,7 @@ from .errors import (
     InvalidArgumentError,
     OutOfModelError,
 )
-from .seeding import rng_for, thread_map
+from .seeding import thread_map
 from .sources import (
     FieldTrace,
     SourceSpec,
@@ -46,7 +49,6 @@ __all__ = [
     "DetectionChain",
     "InterferogramScan",
     "HbtEnsemble",
-    "photon_counter",
     "hbt_scan",
     "extract_g2",
     "hbt_ensemble",
@@ -114,25 +116,6 @@ class InterferogramScan:
         _write_csv(path, metadata, ["tau_s", "raw", "filtered"], _repr_rows(columns))
 
 
-def photon_counter(
-    mean_rate: float, chain: DetectionChain, seed: int, noise: bool = True
-):
-    """Detected counts over one integration window.
-
-    The expected count is mean_rate * overall_efficiency * T plus
-    dark_rate * T. With noise enabled the return value is one Poisson draw
-    (an int); with noise disabled it is the exact expectation (a float).
-    """
-    if mean_rate < 0:
-        raise InvalidArgumentError("mean_rate must be >= 0")
-    expected = (
-        mean_rate * chain.overall_efficiency + chain.dark_rate
-    ) * chain.integration_time
-    if not noise:
-        return float(expected)
-    return int(_poisson_counts(rng_for(seed), expected))
-
-
 # numpy's largest Poisson mean: int64 max less 10 of its square roots.
 _POISSON_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
@@ -147,18 +130,14 @@ def _poisson_counts(rng: np.random.Generator, expected):
     return rng.poisson(expected)
 
 
-def hbt_scan(
-    trace: FieldTrace, delays, filter_mode: str = "analytic"
-) -> InterferogramScan:
+def hbt_scan(trace: FieldTrace, delays) -> InterferogramScan:
     """Scan the two-photon Michelson over the given delays.
 
     For each delay the envelope is shifted by the nearest sample while the
     carrier phase omega*tau is applied exactly, so fringe structure does
-    not require sampling the envelope at the optical period.
-    filter_mode "analytic" computes the fringe-averaged signal in closed
-    form from the intensity moments; "numeric" applies a boxcar of one
-    fringe period to the raw signal and requires a uniform delay grid with
-    at least 6 points per fringe.
+    not require sampling the envelope at the optical period. The
+    fringe-averaged signal is computed in closed form from the intensity
+    moments.
 
     All delays share one set of FFT lag correlations. With
     a = E(t), b = E(t + tau) and p = exp(-i omega tau),
@@ -186,12 +165,6 @@ def hbt_scan(
     raw = (envelope + fringes) / counts
     raw[(raw < 0) & (raw >= -1e-9 * filtered)] = 0.0
     fringe_period = 2.0 * np.pi / trace.carrier_freq
-    if filter_mode == "numeric":
-        filtered = _boxcar_filter(delays, raw, fringe_period)
-    elif filter_mode != "analytic":
-        raise InvalidArgumentError(
-            f"filter_mode must be 'analytic' or 'numeric', got {filter_mode!r}"
-        )
     return InterferogramScan(delays, raw, filtered, fringe_period)
 
 
@@ -221,28 +194,6 @@ def _interferogram_lag_sums(e: np.ndarray, k_max: int):
     mixed = _power_lag_sums(2.0 * real_spec, nfft, k_max, real=False)
     quad = _lag_sums(e * e, k_max)
     return squares, cross, mixed, quad
-
-
-def _boxcar_filter(
-    delays: np.ndarray, raw: np.ndarray, fringe_period: float
-) -> np.ndarray:
-    """Moving average over one fringe period on a uniform delay grid."""
-    if delays.size < 2:
-        raise InvalidArgumentError("numeric filtering needs at least 2 delays")
-    steps = np.diff(delays)
-    step = steps[0]
-    if step <= 0 or np.any(np.abs(steps - step) > 1e-6 * step):
-        raise InvalidArgumentError("numeric filtering needs a uniform delay grid")
-    window = int(round(fringe_period / step))
-    if window < 6:
-        raise InvalidArgumentError(
-            "delay grid too coarse for numeric fringe filtering; "
-            "need >= 6 points per fringe period"
-        )
-    kernel = np.ones(window)
-    summed = np.convolve(raw, kernel, mode="same")
-    norm = np.convolve(np.ones_like(raw), kernel, mode="same")
-    return summed / norm
 
 
 def extract_g2(
@@ -362,30 +313,24 @@ def hbt_ensemble(
 
 def fluorescence_counts(
     excitation_power_measured: float,
-    source_g2_or_trace,
+    g2_zero: float,
     absorber: AbsorberSpec,
     chain: DetectionChain,
-    seed: int,
-    noise: bool = True,
-):
-    """Detected fluorescence counts for one excitation power setting.
+) -> float:
+    """Expected detected fluorescence counts at one excitation power setting.
 
     The measured power is first corrected to the power at the sample,
     P_exc = eta * P_meas. The absorption rate follows from the two-photon
-    model with the source's g2(0): either passed directly as a number or
-    computed from the moments of a FieldTrace (whose carrier then sets the
-    lineshape detuning; a bare g2 value is taken to be on resonance).
-    The fluorescence rate is the absorption rate times the quantum yield,
-    detected by photon_counter.
+    model for a source of the given g2(0) on resonance, and the
+    fluorescence rate is that times the quantum yield. Over one
+    integration window T the expected count is
+    (fluorescence rate * overall_efficiency + dark_rate) * T.
     """
     if excitation_power_measured < 0:
         raise InvalidArgumentError("excitation power must be >= 0")
     p_exc = chain.power_correction_eta * excitation_power_measured
-    if isinstance(source_g2_or_trace, FieldTrace):
-        g2_zero = source_g2_or_trace.moment(2, normalized=True)
-        omega = source_g2_or_trace.carrier_freq
-    else:
-        g2_zero = float(source_g2_or_trace)
-        omega = absorber.omega_f / 2.0
-    rate = mollow_rate(absorber, g2_zero, p_exc, omega)
-    return photon_counter(rate * absorber.quantum_yield, chain, seed, noise=noise)
+    rate = mollow_rate(absorber, float(g2_zero), p_exc, absorber.omega_f / 2.0)
+    return float(
+        (rate * absorber.quantum_yield * chain.overall_efficiency + chain.dark_rate)
+        * chain.integration_time
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive_seed", "rng_for", "thread_map"]
+__all__ = ["derive_seed", "rng_for"]
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:

@@ -38,7 +38,6 @@ __all__ = [
     "tpa_rate_timedomain",
     "mpa_rate_timedomain",
     "rate_ratio",
-    "BROADBAND_MIN_RATIO",
 ]
 
 # Minimum delta_omega_f / field-bandwidth ratio for the <I^2> reduction:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import FormatError, InvalidArgumentError
 from .sources import FieldTrace
 
-__all__ = ["write_trace", "read_trace", "TRACE_MAGIC", "TRACE_VERSION"]
+__all__ = ["write_trace", "read_trace"]
 
 TRACE_MAGIC = b"PSTT"
 TRACE_VERSION = 1

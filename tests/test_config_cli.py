@@ -365,6 +365,34 @@ def test_cli_sweep_artifacts(tmp_path):
     assert len(rows) == 2 + 12 * 5
 
 
+def test_cli_sweep_resolves_only_the_pair_it_runs(tmp_path, capsys):
+    # An unknown second source stops reproduce-fig2, which runs it, and not
+    # a sweep of the first.
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("experiment:\n  sources: [sld, nosuch]\n")
+    common = ["--config", cfg, "--out", tmp_path / "o", "--seed", 7]
+    assert run_cli(["sweep", "--source", "sld", "--fluorophore", "DCM", *common]) == 0
+    code, err = run_cli_error(capsys, ["reproduce-fig2", *common])
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error [config-error]: unknown source 'nosuch'")
+
+
+def test_module_form_runs_the_cli():
+    # `python -m photonstat` is the photonstat script.
+    src = str(Path(photonstat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "photonstat", "--version"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"photonstat {photonstat.__version__}\n"
+
+
 def test_cli_hbt_summary(tmp_path):
     out = tmp_path / "h"
     cfg = tmp_path / "h.yaml"

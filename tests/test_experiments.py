@@ -172,9 +172,7 @@ def test_degenerate_sweep_raises_package_error(counts):
 
 def test_calibration_anchor():
     absorber = calibrated_absorber()
-    counts = fluorescence_counts(
-        300e-6, 1.0, absorber, chain_preset("paper-EMCCD"), seed=0, noise=False
-    )
+    counts = fluorescence_counts(300e-6, 1.0, absorber, chain_preset("paper-EMCCD"))
     assert counts == pytest.approx(1000.0, rel=1e-9)
 
 
@@ -243,7 +241,7 @@ def test_sweep_noise_off_records_equal_per_power_expectations():
     expected = [
         (
             chain.power_correction_eta * p,
-            fluorescence_counts(p, 2.0, absorber, chain, 0, noise=False),
+            fluorescence_counts(p, 2.0, absorber, chain),
             k,
         )
         for p in POWERS
@@ -259,7 +257,7 @@ def test_sweep_counts_match_poisson_moments():
     chain = chain_preset("paper-EMCCD")
     n = 20_000
     sweep = power_sweep(source_preset("dfb"), absorber, chain, [300e-6], n, 21)
-    lam = fluorescence_counts(300e-6, 1.0, absorber, chain, 0, noise=False)
+    lam = fluorescence_counts(300e-6, 1.0, absorber, chain)
     counts = sweep.count
     assert all(type(c) is int for _, c, _ in sweep_rows(sweep))
     mean_se = np.sqrt(lam / n)
@@ -282,8 +280,8 @@ def test_dark_counts_add_constant_offset():
     dark_chain = chain_preset("paper-EMCCD", dark_rate=50.0)
     clean_chain = chain_preset("paper-EMCCD")
     for p in (30e-6, 1e-3):
-        with_dark = fluorescence_counts(p, 1.0, absorber, dark_chain, 0, noise=False)
-        clean = fluorescence_counts(p, 1.0, absorber, clean_chain, 0, noise=False)
+        with_dark = fluorescence_counts(p, 1.0, absorber, dark_chain)
+        clean = fluorescence_counts(p, 1.0, absorber, clean_chain)
         assert with_dark - clean == pytest.approx(
             50.0 * dark_chain.integration_time, rel=1e-9
         )
