@@ -58,6 +58,20 @@ def test_fluorescence_expectation_with_dark_counts():
     assert fluorescence_counts(0.0, 2.0, absorber, c) == pytest.approx(50.0, rel=1e-12)
 
 
+def test_fluorescence_dark_only():
+    # With no excitation only dark counts remain, whatever the source's g2(0).
+    absorber = AbsorberSpec(3.86e15, 5.0e14, 1e-20, 0.5, "dye")
+    c = chain(dark_rate=100.0, integration_time=2.0)
+    for g2 in (1.0, 2.0, 6.0):
+        assert fluorescence_counts(0.0, g2, absorber, c) == pytest.approx(200.0, rel=1e-12)
+
+
+def test_fluorescence_rejects_negative_power():
+    absorber = AbsorberSpec(3.86e15, 5.0e14, 1e-20, 0.5, "dye")
+    with pytest.raises(InvalidArgumentError, match="excitation power"):
+        fluorescence_counts(-1e-6, 1.0, absorber, chain())
+
+
 def test_chain_validation():
     with pytest.raises(InvalidArgumentError):
         chain(collection_efficiency=1.5)
