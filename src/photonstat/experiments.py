@@ -73,7 +73,7 @@ class ExponentCheck:
 
 @dataclass
 class FitResult:
-    """Weighted quadratic fit f(x) = a x^2 through the origin."""
+    """Poisson maximum-likelihood fit f(x) = a x^2 through the origin."""
 
     a: float
     a_stderr: float
@@ -188,25 +188,28 @@ def power_sweep(
     )
 
 
-# fit_quadratic refuses counts from here up, whose squares (or those of fits
-# a three-decade power span, 1e6 in x^2, above them) overflow float64.
+# fit_quadratic refuses counts from here up: far beyond any detector's, and
+# below it no sum over a sweep's counts comes near float64's range.
 _MAX_FIT_COUNT = np.sqrt(np.finfo(float).max) * 1e-6
 
 
 def fit_quadratic(sweep: SweepResult) -> FitResult:
-    """Weighted least-squares fit of f(x) = a x^2 to a sweep.
+    """Poisson maximum-likelihood fit of f(x) = a x^2 to a sweep.
 
-    Weights are inverse Poisson variances, 1/max(counts, 1). The free
-    exponent b of a x^b is fitted alongside whenever at least 5 distinct
-    powers span half a decade, as a power-law sanity check. Powers at
-    which the weighted sum of x^4 is not a normal float64 are refused.
+    a = sum(counts) / sum(x^2), with the Fisher error sqrt(a / sum(x^2)).
+    residual_stats holds the Poisson deviance 2 sum[y ln(y/f) - (y - f)]
+    as chi2, so chi2_reduced is the reduced deviance. The free exponent b
+    of A x^b is fitted alongside whenever at least 5 distinct powers span
+    half a decade, as a power-law sanity check. Counts must be finite, >= 0
+    and below _MAX_FIT_COUNT; powers whose sum of squares is not a normal
+    float64, or whose fitted counts or deviance are not, are refused.
     """
     x = sweep.power
     y = sweep.count
-    if not np.all(np.abs(y) < _MAX_FIT_COUNT):
+    if not np.all((y >= 0) & (y < _MAX_FIT_COUNT)):
         raise EstimationError(
-            f"counts up to {np.max(np.abs(y)):g} are too large to fit: their "
-            "squares overflow float64"
+            f"counts {np.min(y):g} to {np.max(y):g} are out of range for the fit: "
+            f"they must be finite, >= 0 and below {_MAX_FIT_COUNT:.3g}"
         )
     distinct, group = np.unique(x, return_inverse=True)
     if distinct.size < 3:
@@ -215,105 +218,87 @@ def fit_quadratic(sweep: SweepResult) -> FitResult:
         raise DegenerateInputError(
             f"counts are {y[0]:g} at every power; no power law to fit"
         )
-    weights = 1.0 / np.maximum(y, 1.0)
-    with np.errstate(over="ignore"):  # checked below
-        sw_x4 = float(np.sum(weights * x**4))
-    if not _SMALLEST_NORMAL <= sw_x4 < np.inf:
+    with np.errstate(all="ignore"):  # checked below
+        x2 = x**2
+        sum_x2 = np.sum(x2)
+        a = np.sum(y) / sum_x2
+        mu = a * x2
+        # y ln(y/mu) through log1p: a ratio y/mu within round-off of 1
+        # gives its logarithm to full precision, so exact data reads 0.
+        log_ratio = np.log1p((y - mu) / mu, out=np.zeros_like(mu), where=y > 0)
+        chi2 = float(2.0 * np.sum(y * log_ratio - (y - mu)))
+    if not (
+        _SMALLEST_NORMAL <= sum_x2 < np.inf
+        and np.all((mu >= _SMALLEST_NORMAL) & (mu < np.inf))
+        and np.isfinite(chi2)
+    ):
         raise EstimationError(
             f"powers {distinct[0]:g} to {distinct[-1]:g} W are out of range for "
-            f"the fit: the weighted sum of their 4th powers is {sw_x4:g}"
+            f"the fit: the sum of their squares is {sum_x2:g} and the fitted "
+            f"counts span {np.min(mu):g} to {np.max(mu):g}"
         )
-    a = float(np.sum(weights * y * x**2)) / sw_x4
-    a_stderr = float(np.sqrt(1.0 / sw_x4))
-    residuals = y - a * x**2
-    chi2 = float(np.sum(weights * residuals**2))
+    a = float(a)
+    a_stderr = float(np.sqrt(a) / np.sqrt(sum_x2))  # a / sum_x2 can overflow
     dof = int(y.size - 1)
     stats = {"chi2": chi2, "dof": dof, "chi2_reduced": chi2 / max(dof, 1)}
     exponent = None
     span_decades = np.log10(distinct[-1]) - np.log10(distinct[0])
     if distinct.size >= 5 and span_decades >= 0.5:
-        # Rescale x to order unity so the power-law fit is well conditioned.
-        x_ref = float(np.exp(np.mean(np.log(x))))
-        # Repeats at one power enter the weighted sum only through their
-        # summed weight and weighted mean count, so fit those per power.
-        w_sum = np.bincount(group, weights)
-        y_mean = np.bincount(group, weights * y) / w_sum
-        b, b_stderr = _fit_power_law(np.log(distinct / x_ref), y_mean, w_sum)
+        # The counts at one power enter the likelihood only through their
+        # sum and number, so fit those per power.
+        b, b_stderr = _fit_power_law(
+            np.log(distinct), np.bincount(group, y), np.bincount(group)
+        )
         exponent = ExponentCheck(b=b, b_stderr=b_stderr)
     return FitResult(a=a, a_stderr=a_stderr, exponent_check=exponent, residual_stats=stats)
 
 
-# Power-law fit steps, in units of the parameters' standard errors: it
-# stops below _FIT_STEP_TOL, far inside the fit's own uncertainty, and takes
-# steps below _FIT_TRUSTED_STEP without checking the cost, as they lie in
-# the quadratic region and the cost change can sink into its round-off.
+# Power-law fit: it stops once a Newton step is below _FIT_STEP_TOL of the
+# exponent's standard error, far inside the fit's own uncertainty.
 _FIT_STEP_TOL = 1e-8
-_FIT_TRUSTED_STEP = 1e-3
 _FIT_MAX_ITER = 100
 
 
-# Its steps test every sum that can overflow (det, the Hessian, the cost).
-@np.errstate(over="ignore", invalid="ignore")
-def _fit_power_law(log_u: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple:
-    """(b, stderr of b) of the weighted least-squares fit of y = A u^b.
+@np.errstate(all="ignore")  # b is checked to be finite at every step
+def _fit_power_law(log_x: np.ndarray, y: np.ndarray, n: np.ndarray) -> tuple:
+    """(b, stderr of b) of the Poisson maximum-likelihood fit of A x^b.
 
-    Minimises sum w (y - A u^b)^2 over (log A, b) from the weighted log-log
-    line by Newton steps (Gauss-Newton where the Hessian is not positive
-    definite), halving any step that does not lower the sum. The error is
-    the b entry of inv(J^T W J), the weights taken as absolute inverse
-    variances, as curve_fit(..., absolute_sigma=True) reports it. A fit
-    whose b or error is not finite raises EstimationError.
+    y[i] is the summed count of the n[i] records at power exp(log_x[i]).
+    Log is the Poisson's canonical link, so at each b the likelihood is
+    largest at A = sum(y) / sum(n x^b), and the profile log-likelihood in b
+    is concave: its score is sum(y) times the count-weighted mean of log x
+    less its mean under weights n x^b, and its curvature is -sum(y) times
+    the variance of log x under those weights. Newton steps from b = 2 find
+    its maximum, and the error is 1/sqrt of that profiled information. A
+    fit that does not reach a finite b raises EstimationError.
     """
-    pos = y > 0
-    lx, ly, lw = log_u[pos], np.log(y[pos]), w[pos] * y[pos] ** 2
-    # Not np.unique: on numpy 2.x its plain form imports numpy.ma (~15 ms).
-    if lx.size < 2 or lx.min() == lx.max():
+    if np.count_nonzero(y) < 2:
         raise DegenerateInputError("power-law fit needs counts at 2 or more powers")
-    # Start from the line log y = log A + b log u, weighted by 1/var(log y).
-    dx = lx - np.dot(lw, lx) / lw.sum()
-    b = np.dot(lw * dx, ly) / np.dot(lw * dx, dx)
-    log_a = np.dot(lw, ly - b * lx) / lw.sum()
-    log_u2 = log_u**2
-    model = np.exp(log_a + b * log_u)
-    resid = y - model
-    cost = np.dot(w * resid, resid)
+    total = y.sum()
+    target = np.dot(y, log_x) / total
+    b, lo, hi = 2.0, -np.inf, np.inf
     for _ in range(_FIT_MAX_ITER):
-        # With f = exp(log A + b log u), every second derivative of f is f
-        # times a power of log u, so the Hessian of cost/2 is the normal
-        # matrix with weights w f (f - r) in place of w f^2.
-        wf = w * model
-        wfr = wf * resid
-        g_a, g_b = wfr.sum(), np.dot(wfr, log_u)
-        q = wf * model
-        n_aa, n_ab, n_bb = q.sum(), np.dot(q, log_u), np.dot(q, log_u2)
-        det = n_aa * n_bb - n_ab**2
-        if not (det > 0 and np.isfinite(det)):
-            raise EstimationError(
-                "power-law fit: normal matrix singular or out of range"
-            )
-        q = q - wfr
-        h_aa, h_ab, h_bb = q.sum(), np.dot(q, log_u), np.dot(q, log_u2)
-        h_det = h_aa * h_bb - h_ab**2
-        if not (h_aa > 0 and h_det > 0):
-            h_aa, h_ab, h_bb, h_det = n_aa, n_ab, n_bb, det
-        step_a = (h_bb * g_a - h_ab * g_b) / h_det
-        step_b = (h_aa * g_b - h_ab * g_a) / h_det
-        # Step length in units of the parameters' standard errors.
-        size = np.sqrt(max(step_a**2 * det / n_bb, step_b**2 * det / n_aa))
-        if size <= _FIT_STEP_TOL:
-            b_stderr = float(np.sqrt(n_aa / det))
-            if not np.isfinite(b + b_stderr):
-                break
-            return float(b), b_stderr
-        while True:
-            trial = np.exp(log_a + step_a + (b + step_b) * log_u)
-            trial_resid = y - trial
-            trial_cost = np.dot(w * trial_resid, trial_resid)
-            if trial_cost <= cost or size <= _FIT_TRUSTED_STEP:
-                break
-            step_a, step_b, size = step_a / 2.0, step_b / 2.0, size / 2.0
-        log_a, b = log_a + step_a, b + step_b
-        model, resid, cost = trial, trial_resid, trial_cost
+        z = b * log_x
+        w = n * np.exp(z - z.max())
+        w /= w.sum()
+        mean = np.dot(w, log_x)
+        dev = log_x - mean
+        info = total * np.dot(w, dev * dev)
+        step = total * (target - mean) / info
+        # Step length in units of the exponent's standard error.
+        if abs(step) * np.sqrt(info) <= _FIT_STEP_TOL:
+            return float(b + step), float(1.0 / np.sqrt(info))
+        # The score falls as b grows, so the maximum lies between the last
+        # b on either side. A Newton step from a flat tail of the profile
+        # (an exponent far from 2 over a wide span) can overshoot that
+        # bracket, and is then replaced by a bisection.
+        if step > 0:
+            lo = b
+        else:
+            hi = b
+        b = b + step if lo < b + step < hi else (lo + hi) / 2.0
+        if not np.isfinite(b):
+            break
     raise EstimationError("power-law fit did not converge to a finite exponent")
 
 

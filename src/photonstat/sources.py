@@ -457,6 +457,11 @@ def _tunable(spec: SourceSpec, n: int, dt: float, seed: int) -> np.ndarray:
     else:
         q = 2.0 / target_g2
         on = rng.random(n_seg) < q
+        if not on.any():
+            raise DegenerateInputError(
+                f"tunable g2 {target_g2:g}: all {n_seg} segments of the trace "
+                f"drew off at duty cycle 2/g2 = {q:.3g}; a longer trace fixes it"
+            )
         base /= np.sqrt(q)
         for rows, k in parts:
             rows[~on[k]] = 0.0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import curve_fit
+from scipy.optimize import brentq
+from scipy.special import logsumexp, softmax
 
 from photonstat.errors import (
     EstimationError,
@@ -83,42 +84,40 @@ def test_fit_needs_data():
         fit_quadratic(make_sweep([(1e-4, 10.0, 0), (1e-4, 11.0, 1)]))
 
 
-def curve_fit_exponent(sweep):
-    """(b, b_stderr) of a x^b from scipy's curve_fit with absolute sigma.
+def poisson_exponent(sweep):
+    """(b, b_stderr) of A x^b by Poisson maximum likelihood, through scipy.
 
-    The reference sits at the minimum too: curve_fit gets the analytic
-    Jacobian and its tightest tolerances. With finite differences and the
-    default tolerances it stops up to ~1e-3 SE short of the minimum on
-    some sweeps.
+    With A at its maximum for each b, the log-likelihood is, up to a
+    constant, l(b) = b sum(y log x) - sum(y) logsumexp(b log x) over the
+    records. b is the brentq root of l'(b), and its error is 1/sqrt(-l''),
+    the curvature taken by a central second difference, in which the term
+    linear in b drops out.
     """
-    x, y = sweep.power, sweep.count
-    u = x / np.exp(np.mean(np.log(x)))
-    popt, pcov = curve_fit(
-        lambda uu, a_u, b: a_u * uu**b,
-        u,
-        y,
-        p0=(np.mean(y / u**2), 2.0),
-        sigma=np.sqrt(np.maximum(y, 1.0)),
-        absolute_sigma=True,
-        jac=lambda uu, a_u, b: np.stack([uu**b, a_u * uu**b * np.log(uu)], axis=1),
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-        maxfev=10000,
-    )
-    return popt[1], np.sqrt(pcov[1, 1])
+    log_x, y = np.log(sweep.power), sweep.count
+    log_x = log_x - log_x.mean()
+
+    def score(b):
+        return np.dot(y, log_x) - y.sum() * np.dot(softmax(b * log_x), log_x)
+
+    b = brentq(score, -50.0, 50.0, xtol=1e-14)
+    h = 1e-3
+    curvature = y.sum() * (
+        logsumexp((b + h) * log_x) - 2.0 * logsumexp(b * log_x)
+        + logsumexp((b - h) * log_x)
+    ) / h**2
+    return b, 1.0 / np.sqrt(curvature)
 
 
-def assert_exponent_matches_curve_fit(sweep):
+def assert_exponent_matches_poisson_likelihood(sweep):
     check = fit_quadratic(sweep).exponent_check
-    b_ref, se_ref = curve_fit_exponent(sweep)
+    b_ref, se_ref = poisson_exponent(sweep)
     assert abs(check.b - b_ref) <= 1e-5 * se_ref
     assert check.b_stderr == pytest.approx(se_ref, rel=1e-5)
 
 
 @pytest.mark.parametrize("source", ["sld", "dfb"])
 @pytest.mark.parametrize("n_powers, repeats", [(12, 5), (200, 50)])
-def test_exponent_fit_matches_curve_fit(source, n_powers, repeats):
+def test_exponent_fit_matches_poisson_likelihood(source, n_powers, repeats):
     powers = np.geomspace(30e-6, 1e-3, n_powers)
     sweep = power_sweep(
         source_preset(source),
@@ -128,7 +127,7 @@ def test_exponent_fit_matches_curve_fit(source, n_powers, repeats):
         repeats,
         seed=2718,
     )
-    assert_exponent_matches_curve_fit(sweep)
+    assert_exponent_matches_poisson_likelihood(sweep)
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,7 +136,7 @@ def test_exponent_fit_matches_curve_fit(source, n_powers, repeats):
     b=st.floats(min_value=1.5, max_value=2.5),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_exponent_fit_matches_curve_fit_property(log_scale, b, seed):
+def test_exponent_fit_matches_poisson_likelihood_property(log_scale, b, seed):
     # Poisson counts of a power law with 10**log_scale expected counts at
     # the 300 uW calibration power, over the nominal 12 x 5 grid.
     expected = 10.0**log_scale * (POWERS / 300e-6) ** b
@@ -147,7 +146,19 @@ def test_exponent_fit_matches_curve_fit_property(log_scale, b, seed):
         for p, row in zip(POWERS, counts)
         for k, c in enumerate(row)
     ]
-    assert_exponent_matches_curve_fit(make_sweep(records))
+    assert_exponent_matches_poisson_likelihood(make_sweep(records))
+
+
+def test_exponent_fit_far_from_quadratic_matches_poisson_likelihood():
+    # Counts that do not grow with power, over 1.5 decades: a Newton step
+    # from b = 2 overshoots the maximum; the bracketed steps still reach it.
+    counts = np.random.default_rng(5).poisson(1000.0, (12, 5))
+    records = [
+        (float(p), int(c), k)
+        for p, row in zip(POWERS, counts)
+        for k, c in enumerate(row)
+    ]
+    assert_exponent_matches_poisson_likelihood(make_sweep(records))
 
 
 @pytest.mark.parametrize(
@@ -375,6 +386,26 @@ def test_reported_ratio_error_tracks_seed_scatter():
         errors.append(report.panels[0].ratio.stderr)
     empirical = np.std(values, ddof=1)
     assert 0.3 < np.mean(errors) / empirical < 3.0
+
+
+@pytest.mark.parametrize("target", [3.0, 30.0, 1000.0])
+def test_ratio_pull_is_unbiased_at_any_count_level(target):
+    # Shot noise only, over 300 panels: the pull of the ratio about 2 has
+    # mean 0 within 3 standard errors and unit spread. A fit that weights
+    # counts by their observed values read pull means of 0.58 and 0.34 at
+    # 3 and 30 counts.
+    pulls = []
+    for master_seed in range(91000, 91100):
+        report = default_report(
+            master_seed,
+            calibration_target=target,
+            panel_scale_error=0.0,
+            arm_scale_error=0.0,
+            ratio_band=(0.0, 10.0),
+        )
+        pulls += [(p.ratio.value - 2.0) / p.ratio.stderr for p in report.panels]
+    assert abs(np.mean(pulls)) <= 3.0 / np.sqrt(len(pulls))
+    assert 0.9 <= np.std(pulls, ddof=1) <= 1.1
 
 
 @pytest.mark.parametrize("target", [1.0, 1.5, 2.0])

@@ -230,6 +230,16 @@ def test_tunable_mean_power_preserved():
     assert trace.mean_power() == pytest.approx(4e-3, rel=1e-12)
 
 
+def test_tunable_names_the_cause_when_every_segment_draws_off():
+    # Above g2 = 2 each 16-tau_c segment is on with probability 2/g2: at g2 4
+    # all 7 segments of 800 samples draw off at this seed.
+    tau_c = nominal_coherence_time("gaussian", BW)
+    with pytest.raises(DegenerateInputError, match="all 7 segments .* longer trace"):
+        make_trace(tunable_spec(4.0), 800 * tau_c / 8, tau_c / 8, 8593)
+    longer = make_trace(tunable_spec(4.0), 8_000 * tau_c / 8, tau_c / 8, 8593)
+    assert longer.mean_power() == pytest.approx(1e-3, rel=1e-12)
+
+
 # The generators written as out-of-place expressions, a new array per step:
 # the reference the in-place generators must match to the last bit.
 def reference_renormalize(envelope, mean_power):
