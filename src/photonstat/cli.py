@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    RunConfig,
-    load_config,
+    config_hash,
+    effective_config,
     resolve_absorber,
     resolve_chain,
     resolve_source,
@@ -114,53 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_config(args: argparse.Namespace) -> RunConfig:
-    data = load_config(args.config)
-    seed, origin = data["master_seed"], "master_seed"
-    env_seed = os.environ.get("PHOTONSTAT_SEED")
-    if env_seed is not None:
-        seed, origin = env_seed, "PHOTONSTAT_SEED"
-    if args.seed is not None:
-        seed, origin = args.seed, "--seed"
-    try:
-        master_seed = int(seed)
-    except ValueError:
-        master_seed = -1
-    if not 0 <= master_seed < 2**64:
-        raise ConfigError(f"{origin} must be an integer in [0, 2^64), got {seed!r}")
-    noise = data["noise"]
-    if args.noise is not None:
-        noise = args.noise == "on"
-    threads = args.threads if args.threads is not None else int(data["threads"])
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
-    out_dir = args.out if args.out is not None else data["output_dir"]
-    fmt = args.fmt if args.fmt is not None else data["format"]
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    return RunConfig(
-        data=data,
-        master_seed=master_seed,
-        threads=threads,
-        noise=bool(noise),
-        out_dir=out_dir,
-        fmt=fmt,
-    )
-
-
-def _meta(cfg: RunConfig) -> dict:
+def _meta(cfg: dict) -> dict:
     return {
-        "schema_version": cfg.data["schema_version"],
-        "master_seed": cfg.master_seed,
-        "config_hash": cfg.hash,
+        "schema_version": cfg["schema_version"],
+        "master_seed": cfg["master_seed"],
+        "config_hash": config_hash(cfg),
     }
 
 
-def _meta_line(cfg: RunConfig) -> str:
-    return (
-        f"schema_version={cfg.data['schema_version']} "
-        f"master_seed={cfg.master_seed} config_hash={cfg.hash}"
-    )
+def _meta_line(cfg: dict) -> str:
+    return " ".join(f"{key}={value}" for key, value in _meta(cfg).items())
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -169,20 +131,20 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
+def _out_dir(cfg: dict) -> Path:
+    out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
-    params = cfg.data["simulate"]
+def cmd_simulate(cfg: dict, args: argparse.Namespace) -> None:
+    params = cfg["simulate"]
     name = args.source or params["source"]
-    spec = resolve_source(cfg.data, name)
+    spec = resolve_source(cfg, name)
     tau_c_nom, duration, dt = trace_grid(
         spec, params["duration_over_tauc"], params["samples_per_tauc"]
     )
-    trace = make_trace(spec, duration, dt, derive_seed(cfg.master_seed, _SEED_SIMULATE))
+    trace = make_trace(spec, duration, dt, derive_seed(cfg["master_seed"], _SEED_SIMULATE))
     out = _out_dir(cfg)
     trace_path = out / f"trace_{name}.pstt"
     write_trace(trace, trace_path)
@@ -212,9 +174,9 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
     )
 
 
-def _write_estimate(cfg: RunConfig, est, stem: str) -> Path:
+def _write_estimate(cfg: dict, est, stem: str) -> Path:
     out = _out_dir(cfg)
-    if cfg.fmt == "csv":
+    if cfg["format"] == "csv":
         path = out / f"{stem}.csv"
         est.to_csv(path, metadata=_meta_line(cfg))
     else:
@@ -223,18 +185,18 @@ def _write_estimate(cfg: RunConfig, est, stem: str) -> Path:
     return path
 
 
-def cmd_g2(cfg: RunConfig, args: argparse.Namespace) -> None:
+def cmd_g2(cfg: dict, args: argparse.Namespace) -> None:
     trace = read_trace(args.trace)
-    params = cfg.data["g2"]
+    params = cfg["g2"]
     if args.max_delay is not None:
         max_delay = args.max_delay
     else:
         try:
             tau_c = coherence_time(trace)
         except EstimationError:
-            tau_c = 100.0 * trace.dt / float(params["max_delay_over_tauc"])
-        max_delay = float(params["max_delay_over_tauc"]) * tau_c
-    n_delays = args.n_delays if args.n_delays is not None else int(params["n_delays"])
+            tau_c = 100.0 * trace.dt / params["max_delay_over_tauc"]
+        max_delay = params["max_delay_over_tauc"] * tau_c
+    n_delays = args.n_delays if args.n_delays is not None else params["n_delays"]
     if n_delays < 2:
         raise ConfigError("n_delays must be >= 2")
     # Checked before the grid is built: the grid below then has at most
@@ -260,7 +222,7 @@ def cmd_g2(cfg: RunConfig, args: argparse.Namespace) -> None:
     )
 
 
-def cmd_gn(cfg: RunConfig, args: argparse.Namespace) -> None:
+def cmd_gn(cfg: dict, args: argparse.Namespace) -> None:
     trace = read_trace(args.trace)
     est = gn_zero(trace, args.order)
     path = _write_estimate(cfg, est, f"gn{args.order}")
@@ -270,16 +232,16 @@ def cmd_gn(cfg: RunConfig, args: argparse.Namespace) -> None:
     )
 
 
-def cmd_hbt(cfg: RunConfig, args: argparse.Namespace) -> None:
-    params = cfg.data["hbt"]
+def cmd_hbt(cfg: dict, args: argparse.Namespace) -> None:
+    params = cfg["hbt"]
     name = args.source or params["source"]
-    n_real = int(params["realizations"])
+    n_real = params["realizations"]
     ens = hbt_ensemble(
-        resolve_source(cfg.data, name),
-        [derive_seed(cfg.master_seed, _SEED_HBT, k) for k in range(n_real)],
+        resolve_source(cfg, name),
+        [derive_seed(cfg["master_seed"], _SEED_HBT, k) for k in range(n_real)],
         # The five lengths in units of the nominal coherence time.
         **{key: value for key, value in params.items() if key.endswith("_tauc")},
-        threads=cfg.threads,
+        threads=cfg["threads"],
     )
     spread = np.std(ens.realization_g2, ddof=1) / np.sqrt(n_real) if n_real > 1 else 0.0
     out = _out_dir(cfg)
@@ -303,28 +265,26 @@ def cmd_hbt(cfg: RunConfig, args: argparse.Namespace) -> None:
     )
 
 
-def _experiment_pieces(cfg: RunConfig):
+def _experiment_pieces(cfg: dict):
     """The experiment section, its chain and its measured powers. Sources
     and absorbers are left to each subcommand, which resolves only those
     it runs."""
-    exp = cfg.data["experiment"]
-    chain = resolve_chain(cfg.data, exp["chain"])
-    powers = np.geomspace(
-        float(exp["power_min_w"]), float(exp["power_max_w"]), int(exp["n_powers"])
-    )
+    exp = cfg["experiment"]
+    chain = resolve_chain(cfg, exp["chain"])
+    powers = np.geomspace(exp["power_min_w"], exp["power_max_w"], exp["n_powers"])
     return exp, chain, powers
 
 
-def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
+def cmd_sweep(cfg: dict, args: argparse.Namespace) -> None:
     exp, chain, powers = _experiment_pieces(cfg)
     source_name = args.source or exp["sources"][0]
     fluor_name = args.fluorophore or exp["fluorophores"][0]
-    spec = resolve_source(cfg.data, source_name)
+    spec = resolve_source(cfg, source_name)
     absorber = calibrate_dipole(
-        resolve_absorber(cfg.data, fluor_name),
+        resolve_absorber(cfg, fluor_name),
         chain,
-        float(exp["calibration_target_counts"]),
-        float(exp["calibration_power_w"]),
+        exp["calibration_target_counts"],
+        exp["calibration_power_w"],
     )
     _, duration, dt = trace_grid(
         spec, exp["trace_duration_over_tauc"], exp["trace_samples_per_tauc"]
@@ -334,9 +294,9 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
         absorber,
         chain,
         powers,
-        int(exp["repeats"]),
-        derive_seed(cfg.master_seed, _SEED_SWEEP),
-        noise=cfg.noise,
+        exp["repeats"],
+        derive_seed(cfg["master_seed"], _SEED_SWEEP),
+        noise=cfg["noise"],
         statistics_mode=exp["statistics_mode"],
         trace_duration=duration,
         trace_dt=dt,
@@ -398,7 +358,7 @@ def _read_sweep_csv(path: Path, config_hash: str) -> SweepResult:
     return SweepResult(source, fluor, power, count, repeat.astype(int))
 
 
-def _panel_svg(cfg: RunConfig, fluor_name: str, panel: Fig2Panel) -> str:
+def _panel_svg(cfg: dict, fluor_name: str, panel: Fig2Panel) -> str:
     series = []
     fit_lines = []
     markers = ("square", "circle")
@@ -434,7 +394,7 @@ def _fit_payload(fit) -> dict:
 
 
 def _write_fig2(
-    cfg: RunConfig, out: Path, names: list, report: Fig2Report, extras: list
+    cfg: dict, out: Path, names: list, report: Fig2Report, extras: list
 ) -> None:
     """Plots, fits.csv and report.json of a Fig. 2 report.
 
@@ -470,36 +430,36 @@ def _write_fig2(
             "panels": entries,
             "all_within_band": report.all_within_band,
             "ratio_band": list(report.ratio_band),
-            "noise": cfg.noise,
+            "noise": cfg["noise"],
             "error_budget": report.error_budget,
-            "statistics_mode": cfg.data["experiment"]["statistics_mode"],
+            "statistics_mode": cfg["experiment"]["statistics_mode"],
             **_meta(cfg),
         },
     )
 
 
-def cmd_reproduce_fig2(cfg: RunConfig, args: argparse.Namespace) -> None:
+def cmd_reproduce_fig2(cfg: dict, args: argparse.Namespace) -> None:
     exp, chain, powers = _experiment_pieces(cfg)
     report = reproduce_fig2(
-        sources=[resolve_source(cfg.data, n) for n in exp["sources"]],
-        absorbers=[resolve_absorber(cfg.data, n) for n in exp["fluorophores"]],
+        sources=[resolve_source(cfg, n) for n in exp["sources"]],
+        absorbers=[resolve_absorber(cfg, n) for n in exp["fluorophores"]],
         chain=chain,
         powers=powers,
-        repeats=int(exp["repeats"]),
-        master_seed=cfg.master_seed,
-        noise=cfg.noise,
+        repeats=exp["repeats"],
+        master_seed=cfg["master_seed"],
+        noise=cfg["noise"],
         statistics_mode=exp["statistics_mode"],
-        trace_duration_over_tauc=float(exp["trace_duration_over_tauc"]),
-        trace_samples_per_tauc=float(exp["trace_samples_per_tauc"]),
-        calibration_target=float(exp["calibration_target_counts"]),
-        calibration_power=float(exp["calibration_power_w"]),
-        panel_scale_error=float(exp["panel_scale_error"]),
-        arm_scale_error=float(exp["arm_scale_error"]),
-        ratio_band=tuple(exp["ratio_band"]),
-        threads=cfg.threads,
+        trace_duration_over_tauc=exp["trace_duration_over_tauc"],
+        trace_samples_per_tauc=exp["trace_samples_per_tauc"],
+        calibration_target=exp["calibration_target_counts"],
+        calibration_power=exp["calibration_power_w"],
+        panel_scale_error=exp["panel_scale_error"],
+        arm_scale_error=exp["arm_scale_error"],
+        ratio_band=exp["ratio_band"],
+        threads=cfg["threads"],
     )
     out = _out_dir(cfg)
-    fluor_names = list(exp["fluorophores"])
+    fluor_names = exp["fluorophores"]
     extras = []
     for fluor_name, panel in zip(fluor_names, report.panels):
         for key, sweep in panel.sweeps.items():
@@ -528,9 +488,9 @@ def cmd_reproduce_fig2(cfg: RunConfig, args: argparse.Namespace) -> None:
     print(f"report -> {out / 'report.json'}")
 
 
-def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
+def cmd_report(cfg: dict, args: argparse.Namespace) -> None:
     out = _out_dir(cfg)
-    exp = cfg.data["experiment"]
+    exp = cfg["experiment"]
     # reproduce-fig2 writes {fluorophore}__{source}.csv; `sweep` adds "sweep_".
     csvs = out.glob("*__*.csv")
     sweep_files = sorted(p for p in csvs if not p.name.startswith("sweep_"))
@@ -538,7 +498,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
         raise InsufficientDataError(f"no reproduce-fig2 sweep CSVs in {out}")
     panels: dict = {}
     for path in sweep_files:
-        sweep = _read_sweep_csv(path, cfg.hash)
+        sweep = _read_sweep_csv(path, config_hash(cfg))
         panels.setdefault(sweep.fluorophore_label, {})[sweep.source_label] = sweep
 
     def _config_order(found: dict, configured) -> dict:
@@ -548,10 +508,10 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     panels = _config_order(panels, exp["fluorophores"])
     report = fig2_report(
         [(n, _config_order(found, exp["sources"])) for n, found in panels.items()],
-        cfg.noise,
-        float(exp["panel_scale_error"]),
-        float(exp["arm_scale_error"]),
-        tuple(exp["ratio_band"]),
+        cfg["noise"],
+        exp["panel_scale_error"],
+        exp["arm_scale_error"],
+        exp["ratio_band"],
     )
     _write_fig2(cfg, out, list(panels), report, [{}] * len(panels))
     print(f"report rebuilt from {len(sweep_files)} sweep files -> {out / 'report.json'}")
@@ -572,7 +532,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _effective_config(args)
+        noise = None if args.noise is None else args.noise == "on"
+        cfg = effective_config(
+            args.config, args.seed, threads=args.threads, noise=noise, format=args.fmt,
+            output_dir=args.out,
+        )
         _HANDLERS[args.command](cfg, args)
         return 0
     except _CONFIG_ERRORS as exc:

@@ -2,9 +2,11 @@
 
 The configuration is a key tree. A run starts from the built-in defaults,
 deep-merges the user's YAML file over them, and finally applies CLI flag
-overrides (flags win). The effective configuration is hashed (sha256 over
-canonical JSON, execution-only keys excluded) and the hash is embedded in
-every artifact, together with schema_version and master_seed.
+overrides (flags win). Every value is converted to its default's kind and
+range-checked here, so the tree that effective_config returns is the run's
+typed, checked configuration. It is hashed (sha256 over canonical JSON,
+execution-only keys excluded) and the hash is embedded in every artifact,
+together with schema_version and master_seed.
 
 Sections: sources, absorbers, chains define or override named presets;
 simulate, g2, hbt configure the estimator commands; experiment configures
@@ -17,7 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import os
+from contextlib import suppress
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .instruments import DetectionChain
@@ -27,8 +31,8 @@ from .tpa import AbsorberSpec
 
 __all__ = [
     "DEFAULT_CONFIG",
-    "RunConfig",
     "load_config",
+    "effective_config",
     "config_hash",
     "resolve_source",
     "resolve_absorber",
@@ -88,6 +92,15 @@ DEFAULT_CONFIG: dict = {
 # excluded from the config hash so identical work hashes identically.
 _EXECUTION_KEYS = ("output_dir", "threads")
 
+# The schema of the numbers in each preset section's entries: a default of
+# each numeric spec field's type, int or float.
+_ENTRY_NUMBERS = {
+    section: {k: kind() for k, kind in get_type_hints(spec).items() if kind in (int, float)}
+    for section, spec in zip(
+        ("sources", "absorbers", "chains"), (SourceSpec, AbsorberSpec, DetectionChain)
+    )
+}
+
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     merged = dict(base)
@@ -95,67 +108,80 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         here = f"{path}.{key}" if path else str(key)
         if key not in base:
             # Unknown keys are allowed only inside the preset sections,
-            # where users define their own named entries.
+            # where users define their own named entries. An entry's
+            # numbers take its spec's field types; the rest of it is left
+            # to the preset resolver, which refuses it when it is used.
             top = path.split(".", 1)[0] if path else str(key)
-            if top not in ("sources", "absorbers", "chains"):
+            if top not in _ENTRY_NUMBERS:
                 raise ConfigError(f"unknown configuration key {here!r}")
+            if isinstance(value, dict):
+                numbers = _ENTRY_NUMBERS[top]
+                value = {
+                    k: _convert(numbers[k], v, f"{here}.{k}") if k in numbers else v
+                    for k, v in value.items()
+                }
             merged[key] = value
         elif isinstance(base[key], dict) and isinstance(value, dict):
             merged[key] = _deep_merge(base[key], value, here)
         else:
-            _check_like_default(base[key], value, here)
-            merged[key] = value
+            merged[key] = _convert(base[key], value, here)
     return merged
 
 
-def _check_like_default(default, value, path: str) -> None:
-    """Raise ConfigError unless value has the kind of its default.
+def _convert(default, value, path: str):
+    """value as the kind of its default, or ConfigError.
 
-    The default is the schema: a mapping needs a mapping, a boolean a
-    boolean, an integer anything int() takes without rounding, a float
-    anything float() takes, a string a string, a list of numbers as many
-    numbers and a list of names one or more strings.
+    The default is the schema: a mapping needs a mapping (merged into it
+    elsewhere), a boolean a boolean, a string a string, an integer a number
+    without a fraction, a float any number, a list of numbers as many
+    numbers and a list of names one or more strings. Numbers come back as
+    int or float whatever their YAML spelling, so that one value has one
+    form in the tree and in its hash.
     """
+    got = value
     if isinstance(default, dict):
         wanted, ok = "a mapping", False
     elif isinstance(default, bool):
         wanted, ok = "true or false", isinstance(value, bool)
     elif isinstance(default, (int, float)):
-        kind = type(default)
-        wanted = "an integer" if kind is int else "a number"
-        ok = _converts(value, kind)
+        wanted = "an integer" if type(default) is int else "a number"
+        got = _number(value, type(default))
+        ok = got is not None
     elif isinstance(default, str):
         wanted, ok = "a string", isinstance(value, str)
-    elif isinstance(default, list) and all(isinstance(d, float) for d in default):
+    elif all(isinstance(d, float) for d in default):
         wanted = f"a list of {len(default)} numbers"
-        ok = isinstance(value, list) and len(value) == len(default)
-        ok = ok and all(_converts(v, float) for v in value)
-    elif isinstance(default, list):
+        got = [_number(v, float) for v in value] if isinstance(value, list) else []
+        ok = len(got) == len(default) and None not in got
+    else:
         wanted = "a non-empty list of names"
         ok = isinstance(value, list) and value and all(isinstance(v, str) for v in value)
-    else:
-        return
     if not ok:
         raise ConfigError(f"{path} must be {wanted}, got {value!r}")
+    return got
 
 
-def _converts(value, kind) -> bool:
-    """True if kind(value) works, and for int without dropping a fraction."""
-    if isinstance(value, bool):
-        return False
+def _number(value, kind):
+    """value as a number of kind, or None: a bool is no number and an int
+    has no fraction. Text counts, as PyYAML reads 1e-3 as text."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return kind is float or not isinstance(value, float) or number == value
+        if kind is float:
+            return float(value)
+        if not isinstance(value, float):
+            with suppress(ValueError):
+                return int(value)  # exact at any size
+            value = float(value)  # text such as 1e3
+        return int(value) if value.is_integer() else None
+    except (ValueError, OverflowError):
+        return None
 
 
-def load_config(path=None) -> dict:
-    """Load a YAML config file over the defaults; None gives pure defaults.
-
-    PyYAML is imported only when a file is given, so a run on the defaults
-    never loads the parser.
-    """
+def _merged_file(path) -> dict:
+    """The YAML file at path merged over the defaults; None gives the
+    defaults. PyYAML is imported only when a file is given, so a run on the
+    defaults never loads the parser."""
     data = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is None:
         return data
@@ -170,33 +196,52 @@ def load_config(path=None) -> dict:
         return data
     if not isinstance(loaded, dict):
         raise ConfigError("config file must contain a mapping at top level")
-    merged = _deep_merge(data, loaded)
-    version = merged.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}"
-        )
-    _check_report_ranges(merged["experiment"])
-    return merged
+    return _deep_merge(data, loaded)
 
 
-def _check_report_ranges(exp: dict) -> None:
-    """Refuse a power grid without 0 < power_min_w <= power_max_w < inf and
-    n_powers >= 1, scale errors below 0 or not finite, and a band without
-    lo <= hi."""
-    p_min, p_max = float(exp["power_min_w"]), float(exp["power_max_w"])
-    if not (0 < p_min <= p_max < math.inf and int(exp["n_powers"]) >= 1):
-        raise ConfigError(
-            "experiment: the power grid needs 0 < power_min_w <= power_max_w, "
-            f"finite, and n_powers >= 1, got {p_min}, {p_max}, {exp['n_powers']}"
-        )
-    scales = [float(exp[key]) for key in ("panel_scale_error", "arm_scale_error")]
-    lo, hi = (float(v) for v in exp["ratio_band"])
-    if not (all(0 <= s < math.inf for s in scales) and lo <= hi):  # NaN fails
-        raise ConfigError(
-            "experiment: panel_scale_error and arm_scale_error must be >= 0 and "
-            f"finite and ratio_band [lo, hi] needs lo <= hi, got {scales}, {[lo, hi]}"
-        )
+def load_config(path=None) -> dict:
+    """Load a YAML config file over the defaults; None gives pure defaults."""
+    return _checked(_merged_file(path))
+
+
+def effective_config(path=None, seed=None, **flags) -> dict:
+    """The configuration of one run: the file over the defaults, then the
+    seed and the other flags that are not None, keyed as in the tree
+    (threads, noise, format, output_dir). The seed is the seed argument,
+    else the PHOTONSTAT_SEED environment variable, else the file's."""
+    flags["master_seed"] = os.environ.get("PHOTONSTAT_SEED") if seed is None else seed
+    return _checked(
+        _deep_merge(_merged_file(path), {k: v for k, v in flags.items() if v is not None})
+    )
+
+
+def _checked(data: dict) -> dict:
+    """data, after every range check of a configuration key. The values
+    already have their defaults' kinds; NaN fails every comparison."""
+    exp = data["experiment"]
+    p_max, (lo, hi) = exp["power_max_w"], exp["ratio_band"]
+    g2_range = data["g2"]["max_delay_over_tauc"]
+    rules = [
+        ("schema_version", data["schema_version"] == SCHEMA_VERSION, str(SCHEMA_VERSION)),
+        ("master_seed", 0 <= data["master_seed"] < 2**64, "an integer in [0, 2^64)"),
+        ("threads", data["threads"] >= 1, ">= 1"),
+        ("format", data["format"] in ("csv", "json"), "csv or json"),
+        ("g2.max_delay_over_tauc", 0 < g2_range < math.inf, "positive and finite"),
+        ("experiment.power_max_w", 0 < p_max < math.inf, "positive and finite"),
+        ("experiment.power_min_w", 0 < exp["power_min_w"] <= p_max, "in (0, power_max_w]"),
+        ("experiment.n_powers", exp["n_powers"] >= 1, ">= 1"),
+        *(
+            (f"experiment.{key}", 0 <= exp[key] < math.inf, ">= 0 and finite")
+            for key in ("panel_scale_error", "arm_scale_error")
+        ),
+        ("experiment.ratio_band", lo <= hi, "[lo, hi] with lo <= hi"),
+    ]
+    for key, ok, rule in rules:
+        if not ok:
+            section, _, name = key.rpartition(".")
+            value = data[section][name] if section else data[name]
+            raise ConfigError(f"{key} must be {rule}, got {value!r}")
+    return data
 
 
 def config_hash(data: dict) -> str:
@@ -204,26 +249,6 @@ def config_hash(data: dict) -> str:
     reduced = {k: v for k, v in data.items() if k not in _EXECUTION_KEYS}
     canonical = json.dumps(reduced, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-@dataclass
-class RunConfig:
-    """Effective configuration of one CLI invocation."""
-
-    data: dict
-    master_seed: int
-    threads: int
-    noise: bool
-    out_dir: str
-    fmt: str
-
-    @property
-    def hash(self) -> str:
-        effective = dict(self.data)
-        effective["master_seed"] = self.master_seed
-        effective["noise"] = self.noise
-        effective["format"] = self.fmt
-        return config_hash(effective)
 
 
 def resolve_source(data: dict, name: str) -> SourceSpec:

@@ -126,7 +126,8 @@ def loglog_panel_svg(
         grid = np.geomspace(x_range[0], x_range[1], 100)
         pts = []
         for xv in grid:
-            yv = line["a"] * xv ** line["b"]
+            with np.errstate(over="ignore"):  # an inf yv is out of y_range
+                yv = line["a"] * xv ** line["b"]
             if y_range[0] <= yv <= y_range[1]:
                 pts.append(f"{_fmt(ax.px(xv))},{_fmt(ax.py(yv))}")
         if len(pts) >= 2:

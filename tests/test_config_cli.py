@@ -20,7 +20,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photonstat
@@ -444,6 +444,22 @@ def test_cli_g2_refuses_a_trace_too_short_for_its_default_delay_range(tmp_path, 
         assert err[0].startswith(f"error [{name}]: max_delay must be positive and below half")
 
 
+def test_cli_g2_refuses_a_configured_delay_range_not_positive_and_finite(tmp_path, capsys):
+    # A coherent trace has no coherence time; there max_delay_over_tauc 0.0
+    # was a ZeroDivisionError, and on other traces a bad value was exit 3.
+    out = tmp_path / "o"
+    assert run_cli(["simulate", "--source", "dfb", "--out", out, "--seed", 7]) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "g2.yaml"
+    for value in ("0.0", "-1.0", ".nan", ".inf"):
+        cfg.write_text(f"g2: {{max_delay_over_tauc: {value}}}\n")
+        args = ["g2", "--trace", out / "trace_dfb.pstt", "--config", cfg, "--out", out]
+        code, err = run_cli_error(capsys, args)
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith("error [config-error]: g2.max_delay_over_tauc must be")
+
+
 def test_cli_grid_beyond_memory_is_config_error(tmp_path, capsys):
     # 1e16 coherence times at 8 samples each is a 569 PiB array, beyond any
     # 64-bit address space, so numpy refuses it at once whatever the
@@ -565,12 +581,68 @@ def test_cli_rejects_non_numeric_config(tmp_path, capsys, yaml_text):
 
 
 def test_config_numbers_accept_yaml_spellings(tmp_path):
-    # PyYAML reads 1e-3 (no dot) as text; float() takes it, as before.
+    # PyYAML reads 1e-3 (no dot) as text; the tree holds the number, in the
+    # kind of its default.
     cfg = tmp_path / "ok.yaml"
     cfg.write_text("experiment:\n  power_max_w: 1e-3\n  n_powers: 12.0\n")
     data = load_config(cfg)
-    assert data["experiment"]["power_max_w"] == "1e-3"
-    assert data["experiment"]["n_powers"] == 12.0
+    assert data["experiment"]["power_max_w"] == 1e-3
+    assert type(data["experiment"]["power_max_w"]) is float
+    assert data["experiment"]["n_powers"] == 12
+    assert type(data["experiment"]["n_powers"]) is int
+
+
+def test_config_spellings_of_one_value_hash_alike(tmp_path):
+    spelled = tmp_path / "spelled.yaml"
+    spelled.write_text(
+        "experiment:\n  power_max_w: 1e-3\n  n_powers: 12.0\n  ratio_band: [16e-1, 2.3]\n"
+        "sources:\n  pt: {preset: sld, mean_power: 2e-3, mode_count: 8.0}\n"
+    )
+    plain = tmp_path / "plain.yaml"
+    plain.write_text(
+        "experiment:\n  power_max_w: 0.001\n  n_powers: 12\n  ratio_band: [1.6, 2.3]\n"
+        "sources:\n  pt: {preset: sld, mean_power: 0.002, mode_count: 8}\n"
+    )
+    assert load_config(spelled) == load_config(plain)
+    assert config_hash(load_config(spelled)) == config_hash(load_config(plain))
+
+
+def test_cli_ratio_band_in_yaml_exponent_spelling(tmp_path):
+    # [1e0, 3] held the text "1e0" and ended in a TypeError traceback.
+    cfg = tmp_path / "band.yaml"
+    cfg.write_text("experiment:\n  ratio_band: [1e0, 3]\n")
+    out = tmp_path / "fig2"
+    code, err, caught = _run_quietly(["reproduce-fig2", "--config", cfg, "--out", out])
+    assert code in (0, 4), err
+    assert "Traceback" not in err
+    assert json.loads((out / "report.json").read_text())["ratio_band"] == [1.0, 3.0]
+
+
+def test_cli_preset_entry_number_in_yaml_exponent_spelling(tmp_path):
+    # mean_power: 2e-3 was text, refused as "'<' not supported".
+    cfg = tmp_path / "power.yaml"
+    cfg.write_text("simulate: {duration_over_tauc: 2000.0}\nsources:\n  sld: {mean_power: 2e-3}\n")
+    out = tmp_path / "o"
+    assert run_cli(["simulate", "--config", cfg, "--out", out, "--seed", 7]) == 0
+    summary = json.loads((out / "simulate_sld.json").read_text())
+    assert summary["mean_power_w"] == pytest.approx(2e-3, rel=1e-12)
+
+
+def test_cli_pseudo_thermal_mode_count_as_a_float(tmp_path, capsys):
+    # mode_count: 64.0 reached numpy as a float (a TypeError traceback).
+    # Seed and tolerance (about 5 standard errors) fixed before the first run.
+    entry = "sources:\n  pt: {preset: sld, statistics: pseudo-thermal, mode_count: %s}\n"
+    out = tmp_path / "o"
+    cfg = tmp_path / "pt.yaml"
+    cfg.write_text(entry % "64.0")
+    assert run_cli(["simulate", "--config", cfg, "--source", "pt", "--out", out, "--seed", 7]) == 0
+    summary = json.loads((out / "simulate_pt.json").read_text())
+    assert abs(summary["g2_zero"] - (2 - 1 / 64)) < 0.06
+    capsys.readouterr()
+    cfg.write_text(entry % "64.5")
+    code, err = run_cli_error(capsys, ["simulate", "--config", cfg, "--source", "pt", "--out", out])
+    assert code == 2
+    assert err == ["error [config-error]: sources.pt.mode_count must be an integer, got 64.5"]
 
 
 _NO_SCIPY = """
@@ -804,7 +876,7 @@ _FUZZ_PATHS = sorted(
         *(("chains", "paper-EMCCD", f.name) for f in dataclasses.fields(DetectionChain)),
     ]
 )
-_FUZZ_VALUES = [0, 0.0, -1, -2.5, math.nan, math.inf, -math.inf, "x", [], [1.0], {}, True, None]
+_FUZZ_VALUES = [0, 0.0, -1, -2.5, math.nan, math.inf, -math.inf, "x", "1e0", [], [1.0], {}, True, None]
 _FUZZ_COMMANDS = [
     ["simulate"],
     ["g2", "--trace", "trace_sld.pstt"],
@@ -1012,6 +1084,8 @@ def _fuzzed_sweep_csv(text: str, scale_exp: int, cells: list, keep, drop_meta: b
     keep=st.one_of(st.none(), st.integers(0, 8)),
     drop_meta=st.booleans(),
 )
+# The fit line of an sld panel scaled by 1e152 overflowed (a RuntimeWarning).
+@example(name="DCM__sld.csv", scale_exp=152, cells=[], keep=None, drop_meta=False)
 def test_cli_fuzzed_sweep_csv_exits_with_a_documented_code(
     fuzz_outputs, name, scale_exp, cells, keep, drop_meta
 ):
