@@ -145,10 +145,10 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> None:
         spec, params["duration_over_tauc"], params["samples_per_tauc"]
     )
     trace = make_trace(spec, duration, dt, derive_seed(cfg["master_seed"], _SEED_SIMULATE))
+    est = gn_zero(trace, 2)
     out = _out_dir(cfg)
     trace_path = out / f"trace_{name}.pstt"
     write_trace(trace, trace_path)
-    est = gn_zero(trace, 2)
     try:
         tau_c = coherence_time(trace)
     except EstimationError:

@@ -5,10 +5,12 @@ The estimators are plain time averages over one long stationary trace:
     g2(tau)  = <I(t) I(t+tau)> / <I>^2
     gn(0)    = <I^n> / <I>^n
 
-Normalization always uses the global trace mean; per-block normalization
-biases g2 low in the presence of slow drifts. Standard errors come from a
-moving-block bootstrap whose block length is at least 10 coherence times,
-so intra-block correlations are preserved.
+Standard errors come from a moving-block bootstrap whose block length is
+at least 10 coherence times, so intra-block correlations are preserved.
+An error bar needs 2 blocks or more. Each g2(tau) value is the statistic
+its bootstrap resamples, over the blocks that fit below the largest delay,
+normalized by their mean intensity, never per block (that biases g2 low
+in the presence of slow drifts).
 
 The intensity, its mean and moments, and the bootstrap block length are
 cached on the FieldTrace, so estimators called one after another on one
@@ -34,7 +36,6 @@ from .sources import (
     FieldTrace,
     _block_lag_sums,
     _fft_len,
-    _lag_sums,
     _window_lag_sums,
 )
 
@@ -136,15 +137,13 @@ def _block_bootstrap_se(
     """SEs of mean(num)/mean(den)^power under a block bootstrap.
 
     num_blocks (nb x m) holds per-block means of m numerators, den_blocks
-    (nb,) those of the denominator. Each replicate draws nb block indices
-    once and resamples every numerator jointly with the denominator, so all
-    m estimates share one resampling; the draw counts enter as weights.
+    (nb,) those of the denominator, nb >= 2. Each replicate draws nb block
+    indices once and resamples every numerator jointly with the denominator,
+    so all m estimates share one resampling; the draw counts enter as weights.
     A replicate without light, or out of float64 range, raises
     DegenerateInputError: the SE is then not defined.
     """
     nb = den_blocks.size
-    if nb < 2:
-        return np.zeros(num_blocks.shape[1])
     idx = rng.integers(0, nb, size=(n_reps, nb))
     idx += nb * np.arange(n_reps)[:, None]
     weights = np.bincount(idx.ravel(), minlength=n_reps * nb).reshape(n_reps, nb) / nb
@@ -157,6 +156,13 @@ def _block_bootstrap_se(
             "moment out of float64 range"
         )
     return errors
+
+
+def _bootstrap_blocks(samples: int, block_len: int, where: str) -> int:
+    """samples // block_len, refused below the 2 blocks an error bar needs."""
+    if samples // block_len < 2:
+        raise InsufficientDataError(f"fewer than 2 bootstrap blocks fit {where}")
+    return samples // block_len
 
 
 def _intensity(trace: FieldTrace, order: int) -> np.ndarray:
@@ -197,8 +203,11 @@ def g2_tau(
     is exactly symmetric. The largest requested |delay| must stay below
     half the trace duration.
 
-    All delays share one bootstrap: nb = (n - max lag) // block_len blocks
-    from the trace start, and one draw of nb block indices per replicate.
+    All delays share one bootstrap: nb = (n - max lag) // block_len >= 2
+    blocks from the trace start, one draw of nb block indices per replicate.
+    Each value is its plug-in over those nb * block_len samples: the mean
+    of its lag-product block means over the squared mean intensity of the
+    same blocks. effective_samples is nb.
     """
     intensity = _intensity(trace, 2)
     n = intensity.size
@@ -212,46 +221,42 @@ def g2_tau(
         block_len = trace.bootstrap_block_len
     # Every delay shares the blocks that fit below the largest lag.
     abs_lags, inverse = np.unique(np.abs(lags), return_inverse=True)
-    nb = (n - int(abs_lags[-1])) // block_len
-    totals, num_blocks = _intensity_lag_sums(intensity, abs_lags, block_len, nb)
-    values = totals / (n - abs_lags) / trace.normalizer(2)
+    nb = _bootstrap_blocks(n - int(abs_lags[-1]), block_len, "below the largest delay")
+    num_blocks = _intensity_lag_sums(intensity, abs_lags, block_len, nb)
+    den_blocks = _block_means(intensity, block_len, nb)
     rng = rng_for(trace.seed_id, _BOOTSTRAP_STREAM)
-    errors = _block_bootstrap_se(
-        num_blocks, _block_means(intensity, block_len, nb), 2, n_bootstrap, rng
-    )
-    n_blocks = n // block_len
-    return CorrelationEstimate(2, rounded, values[inverse], errors[inverse], n_blocks)
+    # First: it refuses blocks without light, which the values divide by.
+    errors = _block_bootstrap_se(num_blocks, den_blocks, 2, n_bootstrap, rng)
+    values = num_blocks.mean(axis=0) / den_blocks.mean() ** 2
+    return CorrelationEstimate(2, rounded, values[inverse], errors[inverse], nb)
 
 
 def _intensity_lag_sums(
     intensity: np.ndarray, lags: np.ndarray, block_len: int, nb: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lag products I[t] I[t + k] for ascending distinct lags k.
+) -> np.ndarray:
+    """Per-block means of the lag products I[t] I[t + k] for ascending
+    distinct lags k, over the first nb blocks of block_len samples (nb x
+    lags; nb block_len + k_max <= n).
 
-    Returns their sums over t < n - k, and their per-block means over the
-    first nb blocks of block_len samples (nb x lags; nb block_len + k_max
-    <= n). With many lags both come from one pass of _block_lag_sums: its
-    rows give the block means, and their sum plus the lag sums of the tail
-    after the last window the totals, O(n log n) whatever the number of
-    lags. A few lags, or a k_max so far beyond block_len that the windows
-    outgrow the trace, are cheaper as direct products at O(n) each.
+    With many lags they come from the rows of one pass of _block_lag_sums,
+    O(n log n) whatever the number of lags. A few lags, or a k_max so far
+    beyond block_len that the windows outgrow the trace, are cheaper as
+    direct products of the nb block_len supported samples at O(n) each.
     """
     n = intensity.size
     k_max = int(lags[-1])
+    span = nb * block_len
     points = nb * (_fft_len(block_len + 2 * k_max) + _fft_len(2 * k_max))
-    if nb == 0 or lags.size * n <= _FFT_COST * points:
-        totals = np.empty(lags.size)
+    if lags.size * n <= _FFT_COST * points:
         blocks = np.empty((nb, lags.size))
         for j, k in enumerate(lags):
-            products = intensity[: n - k] * intensity[k:]
-            totals[j] = products.sum()
+            products = intensity[:span] * intensity[k : k + span]
             blocks[:, j] = _block_means(products, block_len, nb)
-        return totals, blocks
+        return blocks
     rows = _block_lag_sums(intensity, block_len, nb, k_max, per_block=True)
-    totals = rows.sum(axis=0) + _lag_sums(intensity[nb * block_len :], k_max)
     # Sums of products of intensities are >= 0; an FFT leaves round-off of
     # either sign where the products are all zero (a sparse trace).
-    return np.maximum(totals[lags], 0.0), np.maximum(rows[:, lags], 0.0) / block_len
+    return np.maximum(rows[:, lags], 0.0) / block_len
 
 
 def gn_zero(
@@ -266,10 +271,10 @@ def gn_zero(
     intensity = _intensity(trace, n)
     if block_len is None:
         block_len = trace.bootstrap_block_len
+    n_blocks = _bootstrap_blocks(intensity.size, block_len, "in the trace")
     rng = rng_for(trace.seed_id, _BOOTSTRAP_STREAM, n)
     powered = trace.intensity_power(n)
     value = trace.moment(n, normalized=True)
-    n_blocks = intensity.size // block_len
     err = _block_bootstrap_se(
         _block_means(powered, block_len, n_blocks)[:, None],
         _block_means(intensity, block_len, n_blocks),

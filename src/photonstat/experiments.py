@@ -25,7 +25,7 @@ from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
 )
-from .instruments import DetectionChain, _poisson_counts, fluorescence_counts
+from .instruments import DetectionChain, fluorescence_counts
 from .seeding import derive_seed, rng_for, thread_map
 from .sources import _SMALLEST_NORMAL, SourceSpec, make_trace, nominal_g2, trace_grid
 from .tpa import AbsorberSpec, RatioEstimate, rate_ratio
@@ -134,6 +134,10 @@ def calibrate_dipole(
     return replace(absorber, dipole_sq=target_counts / per_dipole)
 
 
+# numpy's largest Poisson mean: int64 max less 10 of its square roots.
+_POISSON_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
+
+
 def power_sweep(
     source: SourceSpec,
     absorber: AbsorberSpec,
@@ -177,7 +181,12 @@ def power_sweep(
     expected = [fluorescence_counts(p, g2_value, absorber, chain) for p in powers]
     counts = np.repeat(np.array(expected)[:, None], repeats, axis=1)
     if noise:
-        counts = _poisson_counts(rng_for(seed, 1), counts)
+        if not np.all(counts <= _POISSON_MAX):
+            raise InvalidArgumentError(
+                f"expected counts must be finite and at most {_POISSON_MAX:.4g} "
+                "to be drawn as Poisson counts; lower the power or the calibration"
+            )
+        counts = rng_for(seed, 1).poisson(counts)
     return SweepResult(
         source_label=source.label or source.statistics,
         fluorophore_label=absorber.label,

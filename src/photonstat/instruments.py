@@ -116,20 +116,6 @@ class InterferogramScan:
         _write_csv(path, metadata, ["tau_s", "raw", "filtered"], _repr_rows(columns))
 
 
-# numpy's largest Poisson mean: int64 max less 10 of its square roots.
-_POISSON_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
-
-
-def _poisson_counts(rng: np.random.Generator, expected):
-    """Poisson draws of expected counts, refused above numpy's limit."""
-    if not np.all(np.asarray(expected) <= _POISSON_MAX):
-        raise InvalidArgumentError(
-            f"expected counts must be finite and at most {_POISSON_MAX:.4g} "
-            "to be drawn as Poisson counts; lower the power or the calibration"
-        )
-    return rng.poisson(expected)
-
-
 def hbt_scan(trace: FieldTrace, delays) -> InterferogramScan:
     """Scan the two-photon Michelson over the given delays.
 

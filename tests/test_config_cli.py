@@ -444,6 +444,40 @@ def test_cli_g2_refuses_a_trace_too_short_for_its_default_delay_range(tmp_path, 
         assert err[0].startswith(f"error [{name}]: max_delay must be positive and below half")
 
 
+def test_cli_g2_refuses_fewer_than_two_bootstrap_blocks(tmp_path, capsys):
+    # 32 tau_c at 8 samples each: 256 samples, blocks of 10 tau_c. One block
+    # fits below a largest delay of 0.49 of the trace, and an SE of 0 at
+    # every delay was written with exit 0.
+    out = tmp_path / "o"
+    cfg = tmp_path / "short.yaml"
+    cfg.write_text("simulate: {duration_over_tauc: 32, samples_per_tauc: 8}\n")
+    with pytest.warns(UserWarning, match="below 100 coherence times"):
+        assert run_cli(["simulate", "--config", cfg, "--out", out, "--seed", 5]) == 0
+    capsys.readouterr()
+    trace = out / "trace_sld.pstt"
+    full = read_trace(trace)
+    max_delay = repr(0.49 * full.n_samples * full.dt)
+    args = ["g2", "--trace", trace, "--out", out, "--max-delay", max_delay]
+    code, err = run_cli_error(capsys, args)
+    assert (code, len(err)) == (3, 1)
+    assert err[0].startswith("error [data-error]: fewer than 2 bootstrap blocks")
+    assert not (out / "g2.csv").exists()
+
+
+def test_cli_simulate_refuses_a_trace_of_one_bootstrap_block(tmp_path, capsys):
+    # 15 tau_c at 8 samples each: 120 samples, one block of 10 tau_c at
+    # seed 1. Refused before the trace is written (was exit 0, SE 0).
+    out = tmp_path / "o"
+    cfg = tmp_path / "short.yaml"
+    cfg.write_text("simulate: {duration_over_tauc: 15, samples_per_tauc: 8}\n")
+    with pytest.warns(UserWarning, match="below 100 coherence times"):
+        args = ["simulate", "--config", cfg, "--out", out, "--seed", 1]
+        code, err = run_cli_error(capsys, args)
+    assert (code, len(err)) == (3, 1)
+    assert err[0] == "error [data-error]: fewer than 2 bootstrap blocks fit in the trace"
+    assert not out.exists()
+
+
 def test_cli_g2_refuses_a_configured_delay_range_not_positive_and_finite(tmp_path, capsys):
     # A coherent trace has no coherence time; there max_delay_over_tauc 0.0
     # was a ZeroDivisionError, and on other traces a bad value was exit 3.

@@ -4,6 +4,7 @@ photon-count histograms."""
 import contextlib
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -217,17 +218,17 @@ def test_estimate_serialization(tmp_path):
 
 
 def reference_g2_tau(trace, delays):
-    """The per-delay loop g2_tau replaced: one O(n) product per delay."""
+    """g2 by its definition, one O(n) product per delay, over the samples
+    of the nb = (n - max lag) // L bootstrap blocks from the trace start,
+    normalized by their mean."""
     intensity = trace.intensity()
-    n = intensity.size
     lags = np.round(np.abs(np.asarray(delays, dtype=float)) / trace.dt).astype(int)
-    mean_i = float(np.mean(intensity))
+    block_len = trace.bootstrap_block_len
+    span = (intensity.size - lags.max()) // block_len * block_len
+    head = intensity[:span]
+    mean_i = float(np.mean(head))
     return np.array(
-        [
-            float(np.mean(intensity[: n - k] * intensity[k:] if k else intensity**2))
-            / mean_i**2
-            for k in lags
-        ]
+        [float(np.mean(head * intensity[k : k + span])) / mean_i**2 for k in lags]
     )
 
 
@@ -329,13 +330,37 @@ def test_g2_bootstrap_error_matches_ensemble_scatter():
     assert 1 / 1.5 < ratio < 1.5
 
 
-def test_g2_block_longer_than_trace_has_zero_errors():
+def test_g2_and_gn_refuse_a_block_longer_than_the_trace():
+    # An error bar needs 2 blocks: fewer is a refusal, never an SE of 0.
     trace = thermal_trace(n_tauc=500, seed=3)
     delays = np.linspace(0.0, 15.0, 61) * TAU_C
-    est = g2_tau(trace, delays, block_len=trace.n_samples + 1)
-    assert np.all(est.std_errors == 0.0)
-    ref = reference_g2_tau(trace, delays)
-    assert np.all(np.abs(est.values - ref) <= 1e-12 * ref)
+    with pytest.raises(InsufficientDataError, match="2 bootstrap blocks"):
+        g2_tau(trace, delays, block_len=trace.n_samples + 1)
+    with pytest.raises(InsufficientDataError, match="2 bootstrap blocks"):
+        gn_zero(trace, 2, block_len=trace.n_samples + 1)
+
+
+def test_g2_refuses_a_trace_dark_on_its_blocks():
+    # The one lit sample lies past the blocks: no value is defined there,
+    # and the refusal comes with no RuntimeWarning from the division.
+    samples = np.zeros(4_000, complex)
+    samples[-1] = 1.0
+    trace = FieldTrace(samples, 1e-15, 1e15, 0)
+    with pytest.raises(DegenerateInputError, match="no light"):
+        g2_tau(trace, [0.0, 1e-13, 5e-13], block_len=100)
+
+
+def test_g2_errors_cover_the_samples_of_the_value():
+    # Tunable light at target g2 1.0117 has a few thermal segments in 4000
+    # tau_c. A value that summed past the bootstrap blocks missed 1 by up
+    # to 20 SE on seeds 514-533, and by 7.7e12 on 9001-9020, where the
+    # blocks held only coherent light (SE ~0).
+    spec = replace(source_preset("sld-residual"), target_g2=1.0117)
+    tau_c = nominal_coherence_time(spec.spectral_shape, spec.bandwidth_hz)
+    delays = 20.0 * tau_c * np.arange(1, 31)
+    for seed in [*range(514, 534), *range(9001, 9021)]:
+        est = g2_tau(make_trace(spec, 4_000 * tau_c, tau_c / 7, seed), delays)
+        assert np.all(np.abs(est.values - 1.0) <= 4.0 * est.std_errors), seed
 
 
 def test_g2_rejects_empty_delays():
@@ -718,14 +743,12 @@ def reference_g2_tau_uncached(trace, delays):
     block_len = reference_block_len(trace)
     abs_lags, inverse = np.unique(np.abs(lags), return_inverse=True)
     nb = (n - int(abs_lags[-1])) // block_len
-    totals, num_blocks = correlation._intensity_lag_sums(intensity, abs_lags, block_len, nb)
-    mean_i = float(np.mean(intensity))
-    values = totals / (n - abs_lags) / mean_i**2
+    num_blocks = correlation._intensity_lag_sums(intensity, abs_lags, block_len, nb)
+    den_blocks = correlation._block_means(intensity, block_len, nb)
+    values = num_blocks.mean(axis=0) / den_blocks.mean() ** 2
     rng = rng_for(trace.seed_id, correlation._BOOTSTRAP_STREAM)
-    errors = correlation._block_bootstrap_se(
-        num_blocks, correlation._block_means(intensity, block_len, nb), 2, 200, rng
-    )
-    return values[inverse], errors[inverse], n // block_len
+    errors = correlation._block_bootstrap_se(num_blocks, den_blocks, 2, 200, rng)
+    return values[inverse], errors[inverse], nb
 
 
 def reference_gn_zero_uncached(trace, order):
@@ -847,8 +870,7 @@ PER_TAUC = st.integers(7, 16)
 def test_g2_tends_to_one_at_large_delay(statistics, level, shape, bandwidth, per_tauc, seed):
     # Delays of 20-600 coherence times, beyond the 16 tau_c segments of a
     # tunable source. level sets the amplitude noise (up to 0.3) or the
-    # target g2 (1.1 to 4, so that tens of the 250 segments are thermal:
-    # with a handful, the SE misses those past the bootstrap blocks).
+    # target g2 (1 to 4, weighted toward the few-segment regime near 1).
     # Pseudo-thermal light is left out: a finite mode sum is
     # quasi-periodic, so its g2 does not settle.
     spec = SourceSpec(
@@ -857,7 +879,7 @@ def test_g2_tends_to_one_at_large_delay(statistics, level, shape, bandwidth, per
         bandwidth_fwhm=bandwidth,
         spectral_shape=shape,
         amplitude_noise=0.3 * level,
-        target_g2=1.1 + 2.9 * level,
+        target_g2=1.0 + 3.0 * level**4,
     )
     trace, tau_c = drawn_trace(spec, per_tauc, seed)
     est = g2_tau(trace, 20.0 * tau_c * np.arange(1, 31), n_bootstrap=100)
