@@ -324,8 +324,8 @@ def _span_rows(bin_idx: np.ndarray, block: int, k_max: int):
     """The rows(w0, w1) of _window_lag_sums for the windows of L = block
     bins: one np.bincount of the bins [w0 L, w1 L + k_max) per call,
     viewed as overlapping rows (as floats: the transforms read them faster
-    than int64). Each batch, or each thread's part of one, builds its own
-    histogram. The view is one np.ndarray call: sliding_window_view makes
+    than int64). Each sub-chunk of windows builds its own histogram. The
+    view is one np.ndarray call: sliding_window_view makes
     a few dozen Python objects, and threads that make them contend for
     the GIL."""
 
@@ -413,14 +413,13 @@ def _count_lag_sums(bin_idx: np.ndarray, k_max: int) -> np.ndarray:
     holds an event. _pair_lag_sums then counts pair differences with no
     transform while the pairs within k_max number at most _PAIR_COST
     times the windows * m points _span_rows would transform; any other
-    stream takes _span_rows, each batch of windows from one histogram of
-    its span (its float sums are rounded). The pairs are counted only if
+    stream takes _span_rows, each sub-chunk of windows from one histogram
+    of its span (its float sums are rounded). The pairs are counted only if
     a lower bound from the events of each window leaves the pair feeder
     a chance, and the count stops past that limit, so dense streams skip
-    it. Beside bin_idx, the window feeder holds per-window counts and one
-    batch of about _CHUNK_POINTS points at a time (a sub-chunk per thread
-    when _window_lag_sums runs threaded), the pair feeder a few
-    event-sized arrays.
+    it. Beside bin_idx, the window feeder holds per-window counts and a
+    sub-chunk of about _CHUNK_POINTS / 16 points per thread, the pair
+    feeder a few event-sized arrays.
     """
     _close_gaps(bin_idx, k_max)
     n_bins = int(bin_idx[-1]) + 1
@@ -459,7 +458,7 @@ def g2_from_counts(
     are first closed to one bin past it, which changes no pair count, so
     long stretches with no events cost nothing. Then isolated events cost
     O(events + pairs) through their pair differences, and every other
-    stream is histogrammed one batch of windows at a time.
+    stream is histogrammed one sub-chunk of windows at a time.
     """
     for name, value in (("bin_width", bin_width), ("max_delay", max_delay)):
         if not 0 < value < np.inf:

@@ -37,9 +37,7 @@ from .seeding import thread_map
 from .sources import (
     FieldTrace,
     SourceSpec,
-    _fft_len,
     _lag_sums,
-    _power_lag_sums,
     make_trace,
     trace_grid,
 )
@@ -158,11 +156,13 @@ def _interferogram_lag_sums(e: np.ndarray, k_max: int):
     """Sums over t < n - k of the interferogram terms, for k = 0..k_max.
 
     Returns (sum Ia^2 + Ib^2, sum Ia Ib, sum (Ia + Ib) a* b, sum a*^2 b^2)
-    with a = e[t], b = e[t + k]. Each padded spectrum is freed once its lag
-    correlation is read.
+    with a = e[t], b = e[t + k]. With x = (I / <I>) e (<I> read as 1 for a
+    dark trace), the third is <I> (C(x, e) + C(e, x)) for the cross lag sum
+    C(x, y) = sum x*[t] y[t + k], and the polarization identity
+    A(x + e) - A(x - e) = 2 (C(x, e) + C(e, x)) gives it from two lag sums
+    A of _lag_sums. Scaling by <I> keeps x and e of one size, so neither
+    swamps the other.
     """
-    n = e.size
-    nfft = _fft_len(n + k_max + 1)
     intensity = e.real**2 + e.imag**2
     sq = intensity**2
     head = np.concatenate(([0.0], np.cumsum(sq[:k_max])))
@@ -170,14 +170,12 @@ def _interferogram_lag_sums(e: np.ndarray, k_max: int):
     squares = 2.0 * np.sum(sq) - head - tail
     del sq
     cross = _lag_sums(intensity, k_max)
-    spec = np.fft.fft(intensity * e, nfft)
+    mean = float(intensity.mean()) or 1.0
+    x = (intensity / mean) * e
     del intensity
-    spec_e = np.fft.fft(e, nfft)
-    real_spec = spec.real * spec_e.real
-    real_spec += spec.imag * spec_e.imag
-    del spec, spec_e
-    # nfft > n + k_max > 2 k_max, so the half-size inverse reaches k_max.
-    mixed = _power_lag_sums(2.0 * real_spec, nfft, k_max, real=False)
+    mixed = _lag_sums(x + e, k_max) - _lag_sums(x - e, k_max)
+    del x
+    mixed *= mean / 2.0
     quad = _lag_sums(e * e, k_max)
     return squares, cross, mixed, quad
 

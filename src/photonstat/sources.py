@@ -61,8 +61,9 @@ SPECTRAL_SHAPES = ("gaussian", "lorentzian")
 # |g1| threshold below which the field is considered decorrelated; used by
 # coherence_time truncation and by its decay precondition.
 G1_DECAY_THRESHOLD = 0.05
-# Block geometry of _lag_sums: the shortest block, and the points
-# _window_lag_sums transforms per batch of windows.
+# Block geometry of _lag_sums: the shortest block, and the points of a
+# _window_lag_sums call from which it runs on a pool; it transforms
+# _CHUNK_POINTS / 16 points at a time.
 _LAG_BLOCK = 8192
 _CHUNK_POINTS = 1 << 20
 # Threads that transform the sub-chunks of _window_lag_sums: the
@@ -607,39 +608,30 @@ def _window_lag_sums(rows, count: int, block: int, max_lag: int, per_block=False
     """Lag sums of the pairs that start in the first L = block values of
     each of count window rows, for k <= max_lag.
 
-    rows(a, b) returns rows a..b-1, each a window w of L + max_lag values;
-    the rows go through in batches of about _CHUNK_POINTS transformed
-    points. Every row is transformed once at m = _fft_len(L + 2 max_lag)
-    points and |W|^2 inverted, less the lag sums of its overlap w[L:]
-    (from _fft_len(2 max_lag) points). per_block returns one row of sums
-    per window, else their sum; for the sum, spectra add up per batch.
+    rows(a, b) returns rows a..b-1, each a window w of L + max_lag values.
+    Every row is transformed once at m = _fft_len(L + 2 max_lag) points and
+    |W|^2 inverted, less the lag sums of its overlap w[L:] (from
+    _fft_len(2 max_lag) points). per_block returns one row of sums per
+    window. Else each sub-chunk's power spectra are summed over its rows,
+    the main thread adds these in row order into one spectrum per part,
+    and each part is inverted once.
 
-    A call of at least _CHUNK_POINTS points made on the main thread cuts
-    each batch into sub-chunks of about _CHUNK_POINTS / 16 points, which
-    _WORKERS threads build and transform (numpy's FFTs release the GIL).
-    Calls from thread_map workers (hbt --threads,
-    reproduce_fig2(threads=...)) stay serial, a batch per task, so no
-    pool is nested.
-
-    The bits do not depend on the worker count. A row's per-block sums are
-    its own. For the sum, the main thread folds each batch's spectra into
-    its running sum as they come, and holds only those not yet folded in:
-    numpy sums a C-ordered array of two or more columns along axis 0 one
-    row after another, so the running sum is power.sum(axis=0) of the
-    whole batch, bit for bit.
+    The rows go through in sub-chunks of about _CHUNK_POINTS / 16
+    transformed points. A call of at least _CHUNK_POINTS points made on the
+    main thread hands them to _WORKERS threads (numpy's FFTs release the
+    GIL). Calls from thread_map workers (hbt --threads,
+    reproduce_fig2(threads=...)) stay serial, so no pool is nested. The
+    sub-chunks and the order of the additions are the same at any worker
+    count, and so are the bits.
     """
     sizes = (_fft_len(block + 2 * max_lag), _fft_len(2 * max_lag))
-    step = max(1, _CHUNK_POINTS // sizes[0])
+    span = max(1, (_CHUNK_POINTS >> 4) // sizes[0])
     workers = 1
     if count * sizes[0] >= _CHUNK_POINTS and threading.current_thread() is threading.main_thread():
         workers = _WORKERS
-    span = max(1, (_CHUNK_POINTS >> 4) // sizes[0]) if workers > 1 else step
-    batches = [(a, min(a + step, count)) for a in range(0, count, step)]
-    # Sub-chunks as (first row, end, last of its batch).
-    subs = [(c, min(c + span, b), c + span >= b) for a, b in batches for c in range(a, b, span)]
 
-    def work(sub):
-        chunk = rows(sub[0], sub[1])
+    def work(first):
+        chunk = rows(first, min(first + span, count))
         real = not np.iscomplexobj(chunk)
         fft = np.fft.rfft if real else np.fft.fft
         parts = []
@@ -648,23 +640,20 @@ def _window_lag_sums(rows, count: int, block: int, max_lag: int, per_block=False
             power = np.square(spec.real)
             power += np.square(spec.imag)
             del spec
-            parts.append(_power_lag_sums(power, size, max_lag, real) if per_block else power)
-        return parts[0] - parts[1] if per_block else (sub[2], real, parts)
+            parts.append(
+                _power_lag_sums(power, size, max_lag, real) if per_block else power.sum(axis=0)
+            )
+        return parts[0] - parts[1] if per_block else (real, parts)
 
-    done = thread_map(work, subs, workers)
+    done = thread_map(work, range(0, count, span), workers)
     if per_block:
         return np.concatenate(list(done))
-    total, totals = 0, None
-    for last, real, powers in done:
-        if totals is not None:
-            powers = [np.concatenate(pair) for pair in zip(totals, powers)]
-        totals = [power.sum(axis=0, keepdims=True) for power in powers]
-        del powers  # before the next sub-chunk is transformed
-        if last:
-            sums = [_power_lag_sums(t, size, max_lag, real) for t, size in zip(totals, sizes)]
-            total = total + (sums[0] - sums[1])
-            totals = None
-    return total[0]
+    real, totals = next(done)
+    for _, powers in done:
+        for total, power in zip(totals, powers):
+            total += power
+    sums = [_power_lag_sums(t, size, max_lag, real) for t, size in zip(totals, sizes)]
+    return sums[0] - sums[1]
 
 
 def _g1_magnitude(samples: np.ndarray, max_lag: int) -> np.ndarray:

@@ -600,7 +600,7 @@ def count_stream(kind, n_events, k_max, rng):
 def test_count_feeders_match_a_dense_histogram(kind, n_events, k_max, dup_frac, chunk, seed):
     # Every feeder on every kind of stream, with up to 30 % of the events
     # moved onto the bin of the event before them. Chunks of 1024 points
-    # put one window in each batch and split the pairs of a stream.
+    # put one window in each sub-chunk and split the pairs of a stream.
     rng = np.random.default_rng(seed)
     bin_idx = count_stream(kind, n_events, k_max, rng)
     repeat = rng.choice(np.arange(1, bin_idx.size), int(dup_frac * (bin_idx.size - 1)))

@@ -1,5 +1,6 @@
 """Detection chain: expected counts, interferometer scans, signal-ratio inversion."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from photonstat.instruments import (
     hbt_scan,
 )
 from photonstat.presets import source_preset
-from photonstat.sources import SourceSpec, make_trace, nominal_coherence_time
+from photonstat.sources import FieldTrace, SourceSpec, make_trace, nominal_coherence_time
 from photonstat.tpa import AbsorberSpec, lineshape
 
 BW = 5.0e12
@@ -127,10 +128,12 @@ CLASS_SPECS = {
 }
 
 
+@pytest.mark.parametrize("mean_power", [1e-12, 1e-3, 1e6])
 @pytest.mark.parametrize("statistics", sorted(CLASS_SPECS))
-def test_scan_matches_reference_loop(statistics):
+def test_scan_matches_reference_loop(statistics, mean_power):
     dt = TAU_C_976 / 8
-    trace = make_trace(CLASS_SPECS[statistics], 4_000 * TAU_C_976, dt, 21)
+    spec = dataclasses.replace(CLASS_SPECS[statistics], mean_power=mean_power)
+    trace = make_trace(spec, 4_000 * TAU_C_976, dt, 21)
     assert_matches_reference(trace, np.arange(0.0, 30 * TAU_C_976 + dt, TAU_C_976 / 2))
     fringe = 2 * np.pi / trace.carrier_freq
     resolved = np.arange(0.0, 2.2 * TAU_C_976, fringe / 8.0)
@@ -142,6 +145,16 @@ def test_scan_matches_reference_block_wise():
     dt = TAU_C_976 / 8
     trace = make_trace(SLD, 6_000 * TAU_C_976, dt, 22)
     assert_matches_reference(trace, np.arange(0.0, 30 * TAU_C_976 + dt, TAU_C_976 / 2))
+
+
+@pytest.mark.parametrize("n", [3_000, 48_000])
+def test_scan_of_a_dark_trace_is_zero(n):
+    # <I> = 0: the mixed term's lag sums must not divide by it.
+    trace = FieldTrace(np.zeros(n, complex), TAU_C_976 / 8, SLD.carrier_freq, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scan = hbt_scan(trace, np.arange(0.0, 30 * TAU_C_976, TAU_C_976 / 2))
+    assert not scan.raw_signal.any() and not scan.filtered_signal.any()
 
 
 @st.composite

@@ -410,7 +410,7 @@ def test_coherence_time_beyond_short_search():
         (4 * 8_192 + 80, 50),  # exactly 4 blocks, tail 80
         (6 * 8_192 + 2_048, 2_048),  # (n - K) divisible by L: tail of K samples
         (5 * 8_192, 0),  # K = 0, and no tail at all
-        (130 * 8_192 + 90, 40),  # more windows than one transform batch
+        (130 * 8_192 + 90, 40),  # many sub-chunks of windows
         (40_000, 19_999),  # one padded FFT
         (3_000, 7),  # one padded FFT
     ],
@@ -454,9 +454,9 @@ def pooled_lag_sums(func, workers):
 def test_window_lag_sums_bits_do_not_depend_on_the_worker_count(
     kind, per_block, count, max_lag, extra, chunk, seed
 ):
-    # Chunks of 512 points put one row in each sub-chunk; of 2^15, a few
-    # rows in each and a few sub-chunks in each batch. Three workers
-    # outnumber the CPUs of a 2-CPU machine.
+    # Sub-chunks hold about chunk / 16 transformed points: at chunks of 512
+    # points one row each unless the windows are short, at 2^15 a few rows
+    # each. Three workers outnumber the CPUs of a 2-CPU machine.
     rng = np.random.default_rng(seed)
     block = 4 * max_lag + extra
     n = count * block + max_lag
@@ -483,7 +483,7 @@ def test_window_lag_sums_bits_do_not_depend_on_the_worker_count(
 
 def test_count_bits_do_not_depend_on_the_worker_count():
     # A dense stream, about one event per bin: its lag sums come from the
-    # window feeder, in several batches at chunks of 2^14 points.
+    # window feeder, in several sub-chunks at chunks of 2^14 points.
     times = rng_for(18, 1).uniform(0.0, 40_000.0, 40_000)
     with mock.patch.object(sources, "_CHUNK_POINTS", 1 << 14):
         runs = {
@@ -497,7 +497,7 @@ def test_count_bits_do_not_depend_on_the_worker_count():
 
 
 def test_lag_sums_in_a_thread_map_worker_stay_serial(monkeypatch):
-    # Only the main thread splits a batch, so a pool is never nested.
+    # Only the main thread hands sub-chunks to a pool, so none is nested.
     monkeypatch.setattr(sources, "_CHUNK_POINTS", 1 << 12)
     x = rng_for(18, 2).standard_normal(40_000) + 0j
     expected, _ = pooled_lag_sums(lambda: [_lag_sums(x, k) for k in (50, 300)], 1)
@@ -511,21 +511,28 @@ def test_lag_sums_in_a_thread_map_worker_stay_serial(monkeypatch):
         assert [s.tobytes() for s in sums] == [s.tobytes() for s in expected]
 
 
-def test_pooled_lag_sums_peak_memory(monkeypatch):
-    # A 2e6-sample complex trace to 2048 lags: each worker holds the
-    # spectra of its sub-chunk, the main thread one batch's power spectra
-    # (one batch's complex spectra, 32 MB, on a single thread).
+@pytest.mark.parametrize(
+    "n, max_lag, bound_mb",
+    [(160_000, 240, 3), (2_000_000, 2048, 16)],
+    ids=["serial", "pooled"],
+)
+def test_pooled_lag_sums_peak_memory(monkeypatch, n, max_lag, bound_mb):
+    # A complex trace of hbt-roundtrip's size (1.6e5 samples, 240 lags)
+    # stays below the pooling threshold; one of 2e6 samples to 2048 lags
+    # goes to two workers. Each sub-chunk's spectra, about 2^16 points, are
+    # held only while it is transformed, beside one summed power spectrum
+    # per part on the main thread.
     monkeypatch.setattr(sources, "_WORKERS", 2)
     rng = rng_for(18, 3)
-    x = rng.standard_normal(2_000_000) + 1j * rng.standard_normal(2_000_000)
-    _lag_sums(x[:200_000], 2048)  # first-call set-up is not the pass
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    _lag_sums(x[: n // 10], max_lag)  # first-call set-up is not the pass
     tracemalloc.start()
     try:
-        _lag_sums(x, 2048)
+        _lag_sums(x, max_lag)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < bound_mb * 2**20
 
 def test_coherence_time_needs_decay():
     spec = SourceSpec(
@@ -928,8 +935,9 @@ def test_coherence_time_outcome_is_cached():
             coherence_time(flat)
 
 
-# Minor page faults of the second hbt_scan of a 1.6e5-sample sld trace
-# (20,000 tau_c at 8 samples per tau_c), counted in a fresh interpreter;
+# Minor page faults of an hbt-roundtrip operation, make_trace of a fresh
+# 1.6e5-sample sld trace (20,000 tau_c at 8 samples per tau_c) and its
+# hbt_scan, after a first such operation, counted in a fresh interpreter;
 # argv[1] "non-glibc" makes os.confstr fail as it does off glibc. Calls of
 # ctypes.CDLL after numpy is loaded are counted, which is how the heap
 # policy reaches mallopt.
@@ -949,11 +957,10 @@ from photonstat.presets import source_preset
 
 spec = source_preset("sld")
 tau_c, duration, dt = ps.trace_grid(spec, 20_000, 8)
-trace = ps.make_trace(spec, duration, dt, 1)
 delays = np.arange(61) * 0.5 * tau_c
-ps.hbt_scan(trace, delays)
+ps.hbt_scan(ps.make_trace(spec, duration, dt, 1), delays)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-ps.hbt_scan(trace, delays)
+ps.hbt_scan(ps.make_trace(spec, duration, dt, 2), delays)
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(f"faults={faults} cdll={len(calls)}")
 """
@@ -973,8 +980,8 @@ print(f"faults={faults} cdll={len(calls)}")
     ids=["default", "user-mmap-threshold", "non-glibc"],
 )
 def test_heap_policy_keeps_freed_temporaries(case, env, heap_kept):
-    # Without the policy the call takes about 4,000 faults (4,023 measured;
-    # 10,584 with a 128 KiB mmap threshold), with it 0.
+    # Without the policy the operation takes about 3,500 faults (3,540
+    # measured; 14,459 with a 128 KiB mmap threshold), with it 0.
     src = str(Path(sources.__file__).resolve().parents[1])
     base = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
     base.pop("GLIBC_TUNABLES", None)
