@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -325,10 +326,10 @@ def _write_sweep_csv(path: Path, sweep: SweepResult, metadata: str) -> None:
     _write_csv(path, metadata, ["P_exc_W", "counts", "repeat"], zip(*columns))
 
 
-def _read_sweep_csv(path: Path, config_hash: str) -> SweepResult:
-    """Read a reproduce-fig2 sweep CSV. Refuse one without a "# ..."
-    metadata line naming this run's config_hash: nothing else shows that
-    its rows belong to this configuration."""
+def _read_sweep_csv(path: Path, fluor: str, source: str, config_hash: str) -> SweepResult:
+    """Read the reproduce-fig2 sweep of (fluor, source) from path. Refuse
+    one without a "# ..." metadata line naming this run's config_hash:
+    nothing else shows that its rows belong to this configuration."""
     records = []
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
@@ -353,7 +354,6 @@ def _read_sweep_csv(path: Path, config_hash: str) -> SweepResult:
             f"{path}: written under config_hash={written}, not this run's "
             f"{config_hash} (another config, seed or --noise)"
         )
-    fluor, _, source = path.stem.partition("__")
     power, count, repeat = np.array(records, dtype=float).reshape(-1, 3).T
     return SweepResult(source, fluor, power, count, repeat.astype(int))
 
@@ -441,7 +441,8 @@ def _write_fig2(
 def cmd_reproduce_fig2(cfg: dict, args: argparse.Namespace) -> None:
     exp, chain, powers = _experiment_pieces(cfg)
     report = reproduce_fig2(
-        sources=[resolve_source(cfg, n) for n in exp["sources"]],
+        # Labelled by their configured names, which key every artifact.
+        sources=[replace(resolve_source(cfg, n), label=n) for n in exp["sources"]],
         absorbers=[resolve_absorber(cfg, n) for n in exp["fluorophores"]],
         chain=chain,
         powers=powers,
@@ -491,30 +492,27 @@ def cmd_reproduce_fig2(cfg: dict, args: argparse.Namespace) -> None:
 def cmd_report(cfg: dict, args: argparse.Namespace) -> None:
     out = _out_dir(cfg)
     exp = cfg["experiment"]
-    # reproduce-fig2 writes {fluorophore}__{source}.csv; `sweep` adds "sweep_".
-    csvs = out.glob("*__*.csv")
-    sweep_files = sorted(p for p in csvs if not p.name.startswith("sweep_"))
-    if not sweep_files:
+    found = {
+        (fluor, source): path
+        for fluor in exp["fluorophores"]
+        for source in exp["sources"]
+        if (path := out / f"{fluor}__{source}.csv").exists()
+    }
+    if not found:
         raise InsufficientDataError(f"no reproduce-fig2 sweep CSVs in {out}")
     panels: dict = {}
-    for path in sweep_files:
-        sweep = _read_sweep_csv(path, config_hash(cfg))
-        panels.setdefault(sweep.fluorophore_label, {})[sweep.source_label] = sweep
-
-    def _config_order(found: dict, configured) -> dict:
-        listed = [name for name in configured if name in found]
-        return {k: found[k] for k in listed + sorted(set(found) - set(listed))}
-
-    panels = _config_order(panels, exp["fluorophores"])
+    for (fluor, source), path in found.items():
+        sweep = _read_sweep_csv(path, fluor, source, config_hash(cfg))
+        panels.setdefault(fluor, {})[source] = sweep
     report = fig2_report(
-        [(n, _config_order(found, exp["sources"])) for n, found in panels.items()],
+        list(panels.items()),
         cfg["noise"],
         exp["panel_scale_error"],
         exp["arm_scale_error"],
         exp["ratio_band"],
     )
     _write_fig2(cfg, out, list(panels), report, [{}] * len(panels))
-    print(f"report rebuilt from {len(sweep_files)} sweep files -> {out / 'report.json'}")
+    print(f"report rebuilt from {len(found)} sweep files -> {out / 'report.json'}")
 
 
 _HANDLERS = {

@@ -230,6 +230,11 @@ def _checked(data: dict) -> dict:
         ("experiment.power_max_w", 0 < p_max < math.inf, "positive and finite"),
         ("experiment.power_min_w", 0 < exp["power_min_w"] <= p_max, "in (0, power_max_w]"),
         ("experiment.n_powers", exp["n_powers"] >= 1, ">= 1"),
+        # Names key the Fig. 2 artifacts: a repeated one would overwrite them.
+        *(
+            (f"experiment.{key}", len(set(exp[key])) == len(exp[key]), "distinct names")
+            for key in ("fluorophores", "sources")
+        ),
         *(
             (f"experiment.{key}", 0 <= exp[key] < math.inf, ">= 0 and finite")
             for key in ("panel_scale_error", "arm_scale_error")

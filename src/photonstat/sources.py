@@ -108,6 +108,9 @@ _set_heap_policy()
 # rounding of the sums it is computed from.
 _CERTIFICATE_MARGIN = 1e-9
 _SMALLEST_NORMAL = float(np.finfo(np.float64).smallest_normal)
+# The most complex samples one array can hold: 16 bytes each, in a size
+# that np.intp counts. numpy refuses a larger array with a ValueError.
+_MAX_SAMPLES = np.iinfo(np.intp).max // 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,11 +511,12 @@ def make_trace(spec: SourceSpec, duration: float, dt: float, seed: int) -> Field
     times the trace's 16 n bytes for thermal and tunable sources (while
     np.fft.fftfreq builds the frequency grid), 1.5 times for the others.
 
-    duration and dt are in seconds and must give at least 2 samples. Every
-    class but the constant-envelope ones (coherent, tunable at 1) must
-    resolve the bandwidth: dt > 1/(10 dnu) raises SamplingError, and a
-    duration under 100 nominal coherence times warns. A pure function of
-    (spec, duration, dt, seed).
+    duration and dt are in seconds and must give at least 2 samples and
+    at most _MAX_SAMPLES, the most one array holds. Every class but the
+    constant-envelope ones (coherent, tunable at 1) must resolve the
+    bandwidth: dt > 1/(10 dnu) raises SamplingError, and a duration under
+    100 nominal coherence times warns. A pure function of (spec, duration,
+    dt, seed).
     """
     build = _BUILDERS.get(spec.statistics)
     if build is None:
@@ -526,7 +530,12 @@ def make_trace(spec: SourceSpec, duration: float, dt: float, seed: int) -> Field
             f"dt = {dt:.3e} s too coarse for bandwidth {dnu:.3e} Hz; "
             f"need dt <= {1.0 / (10.0 * dnu):.3e} s"
         )
-    n = int(round(duration / dt))
+    n = duration / dt
+    if n > _MAX_SAMPLES:
+        raise InvalidArgumentError(
+            f"duration/dt gives {n:.3g} samples, more than one array holds ({_MAX_SAMPLES})"
+        )
+    n = int(round(n))
     if n < 2:
         raise InvalidArgumentError("duration/dt must give at least 2 samples")
     tau_c = nominal_coherence_time(spec.spectral_shape, dnu)

@@ -354,6 +354,70 @@ def test_cli_report_rejects_malformed_sweep_csv(tmp_path, capsys, row):
     assert "malformed row" in err[0]
 
 
+def _artifacts(out):
+    """Every file under out but report.json, by path relative to out."""
+    files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "report.json")
+    return {p.relative_to(out): p.read_bytes() for p in files}
+
+
+@pytest.mark.parametrize(
+    "yaml_text, fluorophores",
+    [
+        # The README's example: a new name based on a preset keeps the
+        # preset's label, "sld".
+        (
+            "sources: {bright-sld: {preset: sld, mean_power: 5.0e-3}}\n"
+            "experiment: {sources: [bright-sld, dfb]}\n",
+            ["DCM", "CdTe-QD", "RhodamineB"],
+        ),
+        ("sources: {sld: {label: Bright SLD}}\n", ["DCM", "CdTe-QD", "RhodamineB"]),
+        (
+            "absorbers: {my__dye: {preset: DCM}}\nexperiment: {fluorophores: [my__dye]}\n",
+            ["my__dye"],
+        ),
+    ],
+    ids=["preset-based-source", "source-label", "double-underscore-fluorophore"],
+)
+def test_cli_report_rebuilds_configured_names(tmp_path, yaml_text, fluorophores):
+    # Fig. 2 files and keys use the configured names whatever a label says,
+    # and report reads exactly the configured pairs: no file name is parsed.
+    # These configs used to rebuild every ratio upside down (about 0.5).
+    cfg = tmp_path / "names.yaml"
+    cfg.write_text(yaml_text)
+    out = tmp_path / "fig2"
+    args = ["--config", cfg, "--out", out, "--seed", 7]
+    assert run_cli(["reproduce-fig2", *args]) == 0
+    first = json.loads((out / "report.json").read_text())
+    written = _artifacts(out)
+    assert sorted(p.name for p in (out / "plots").iterdir()) == sorted(
+        f"{name}.svg" for name in fluorophores
+    )
+    assert run_cli(["report", *args]) == 0
+    rebuilt = json.loads((out / "report.json").read_text())
+    for panel in first["panels"]:
+        del panel["label"], panel["g2_values"]
+    assert rebuilt == first
+    assert [p["fluorophore"] for p in rebuilt["panels"]] == fluorophores
+    assert all(1.6 <= p["ratio"] <= 2.3 for p in rebuilt["panels"])
+    assert _artifacts(out) == written
+
+
+def test_cli_report_ignores_csvs_the_config_does_not_name(tmp_path):
+    # A CSV of no configured (fluorophore, source) pair cannot enter the
+    # report, so its foreign config_hash does not stop report either.
+    out = tmp_path / "fig2"
+    args = ["--out", out, "--seed", 7]
+    assert run_cli(["reproduce-fig2", *args]) == 0
+    first = json.loads((out / "report.json").read_text())
+    (out / "X__Y.csv").write_text("# config_hash=0\nP_exc_W,counts,repeat\n1e-5,1,0\n")
+    written = _artifacts(out)
+    assert run_cli(["report", *args]) == 0
+    rebuilt = json.loads((out / "report.json").read_text())
+    assert [p["fluorophore"] for p in rebuilt["panels"]] == ["DCM", "CdTe-QD", "RhodamineB"]
+    assert [p["ratio"] for p in rebuilt["panels"]] == [p["ratio"] for p in first["panels"]]
+    assert _artifacts(out) == written
+
+
 def test_cli_sweep_artifacts(tmp_path):
     out = tmp_path / "s"
     assert run_cli(["sweep", "--out", out, "--seed", 5, "--source", "dfb"]) == 0
@@ -506,6 +570,32 @@ def test_cli_grid_beyond_memory_is_config_error(tmp_path, capsys):
     assert err[0].startswith("error [config-error]: out of memory:")
 
 
+@pytest.mark.parametrize(
+    "command, yaml_text",
+    [
+        ("simulate", "simulate: {duration_over_tauc: 1.0e+19}"),
+        ("simulate", "simulate: {duration_over_tauc: 1e300, samples_per_tauc: 1e300}"),
+        ("hbt", "hbt: {duration_over_tauc: 1.0e+19}"),
+        (
+            "sweep",
+            "experiment: {statistics_mode: trace, trace_duration_over_tauc: 1.0e+19}",
+        ),
+    ],
+)
+def test_cli_trace_beyond_an_array_is_config_error(tmp_path, capsys, command, yaml_text):
+    # 8e19 samples exceed what numpy can index, and 1e600 overflow a float:
+    # refused by make_trace before any array is made, where numpy's
+    # ValueError and the OverflowError of int(inf) were tracebacks.
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(yaml_text + "\n")
+    out = tmp_path / "o"
+    code, err = run_cli_error(capsys, [command, "--config", cfg, "--out", out])
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error [config-error]: duration/dt gives")
+    assert not out.exists()
+
+
 _EXIT_NAMES = {2: "config-error", 3: "data-error", 4: "acceptance-failure"}
 _EXIT_CODES = {
     errors.ConfigError: 2,
@@ -601,6 +691,9 @@ def test_cli_accepts_largest_seed(tmp_path):
         "sources:\n  sld: {label: 5}\n",
         "absorbers:\n  DCM: {label: .nan}\n",
         "chains:\n  paper-EMCCD: {quantum_efficiency: 0}\n",
+        # A repeated name wrote two panels or arms into the same files.
+        "experiment:\n  fluorophores: [DCM, DCM]\n",
+        "experiment:\n  sources: [sld, sld]\n",
     ],
 )
 def test_cli_rejects_non_numeric_config(tmp_path, capsys, yaml_text):
