@@ -326,13 +326,16 @@ def _write_sweep_csv(path: Path, sweep: SweepResult, metadata: str) -> None:
     _write_csv(path, metadata, ["P_exc_W", "counts", "repeat"], zip(*columns))
 
 
-def _read_sweep_csv(path: Path, fluor: str, source: str, config_hash: str) -> SweepResult:
-    """Read the reproduce-fig2 sweep of (fluor, source) from path. Refuse
-    one without a "# ..." metadata line naming this run's config_hash:
+def _read_sweep_csv(path: Path, config_hash: str) -> SweepResult:
+    """Read a reproduce-fig2 sweep from path. Refuse one that is not UTF-8
+    text, or without a "# ..." metadata line naming this run's config_hash:
     nothing else shows that its rows belong to this configuration."""
     records = []
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh) if r]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: not a sweep CSV ({exc})") from exc
     meta = ",".join(rows[0]) if rows and rows[0][0].startswith("#") else ""
     written = dict(item.partition("=")[::2] for item in meta.split()).get("config_hash")
     rows = [r for r in rows if not r[0].startswith("#")]
@@ -355,25 +358,18 @@ def _read_sweep_csv(path: Path, fluor: str, source: str, config_hash: str) -> Sw
             f"{config_hash} (another config, seed or --noise)"
         )
     power, count, repeat = np.array(records, dtype=float).reshape(-1, 3).T
-    return SweepResult(source, fluor, power, count, repeat.astype(int))
+    return SweepResult(power, count, repeat.astype(int))
 
 
-def _panel_svg(cfg: dict, fluor_name: str, panel: Fig2Panel) -> str:
-    series = []
-    fit_lines = []
+def _panel_svg(cfg: dict, panel: Fig2Panel) -> str:
     markers = ("square", "circle")
-    for k, (key, sweep) in enumerate(panel.sweeps.items()):
-        series.append(
-            {
-                "label": key,
-                "x": sweep.power,
-                "y": sweep.count,
-                "marker": markers[k % 2],
-            }
-        )
-        fit_lines.append({"label": key, "a": panel.fits[key].a, "b": 2.0})
+    series = [
+        {"label": key, "x": sweep.power, "y": sweep.count, "marker": markers[k % 2]}
+        for k, (key, sweep) in enumerate(panel.sweeps.items())
+    ]
+    fit_lines = [{"label": key, "a": fit.a, "b": 2.0} for key, fit in panel.fits.items()]
     return loglog_panel_svg(
-        title=fluor_name,
+        title=panel.fluorophore,
         series=series,
         fit_lines=fit_lines,
         x_label="P_exc (W)",
@@ -393,32 +389,32 @@ def _fit_payload(fit) -> dict:
     }
 
 
-def _write_fig2(
-    cfg: dict, out: Path, names: list, report: Fig2Report, extras: list
-) -> None:
-    """Plots, fits.csv and report.json of a Fig. 2 report.
-
-    names[i] names panel i's plot and report.json entry; extras[i] holds
-    further keys of that entry. A panel without a ratio gets no plot, and
-    an earlier plot of it is removed.
+def _write_fig2(cfg: dict, out: Path, report: Fig2Report, g2_values=None) -> None:
+    """Plots, fits.csv and report.json of a Fig. 2 report whose panels are
+    keyed by configured fluorophore name; the absorber's label comes from
+    the config. g2_values maps a name to its entry's g2_values. A panel
+    without a ratio gets no plot, and an earlier plot of it is removed.
     """
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
     columns = ["a", "a_stderr", "b", "b_stderr"]
     table = []
     entries = []
-    for name, panel, extra in zip(names, report.panels, extras):
+    for panel in report.panels:
+        name = panel.fluorophore
         fits = {key: _fit_payload(fit) for key, fit in panel.fits.items()}
         for key, f in fits.items():
             cells = ["" if f[c] is None else repr(float(f[c])) for c in columns]
             table.append([f"{name}/{key}", *cells])
-        entry = {"fluorophore": name, "fits": fits, **extra}
+        entry = {"fluorophore": name, "label": resolve_absorber(cfg, name).label, "fits": fits}
+        if g2_values is not None:
+            entry["g2_values"] = g2_values[name]
         plot = plots / f"{name}.svg"
         if panel.ratio is None:
             plot.unlink(missing_ok=True)
         else:
             with open(plot, "w") as fh:
-                fh.write(_panel_svg(cfg, name, panel))
+                fh.write(_panel_svg(cfg, panel))
             entry["ratio"] = panel.ratio.value
             entry["ratio_stderr"] = panel.ratio.stderr
             entry["within_band"] = panel.within_band
@@ -443,7 +439,7 @@ def cmd_reproduce_fig2(cfg: dict, args: argparse.Namespace) -> None:
     report = reproduce_fig2(
         # Labelled by their configured names, which key every artifact.
         sources=[replace(resolve_source(cfg, n), label=n) for n in exp["sources"]],
-        absorbers=[resolve_absorber(cfg, n) for n in exp["fluorophores"]],
+        absorbers=[replace(resolve_absorber(cfg, n), label=n) for n in exp["fluorophores"]],
         chain=chain,
         powers=powers,
         repeats=exp["repeats"],
@@ -460,26 +456,21 @@ def cmd_reproduce_fig2(cfg: dict, args: argparse.Namespace) -> None:
         threads=cfg["threads"],
     )
     out = _out_dir(cfg)
-    fluor_names = exp["fluorophores"]
-    extras = []
-    for fluor_name, panel in zip(fluor_names, report.panels):
+    for panel in report.panels:
         for key, sweep in panel.sweeps.items():
-            _write_sweep_csv(
-                out / f"{fluor_name}__{key}.csv", sweep, _meta_line(cfg)
-            )
-        g2_values = {key: sweep.g2_value for key, sweep in panel.sweeps.items()}
-        extras.append({"label": panel.fluorophore, "g2_values": g2_values})
-    _write_fig2(cfg, out, fluor_names, report, extras)
-    for fluor_name, panel in zip(fluor_names, report.panels):
+            _write_sweep_csv(out / f"{panel.fluorophore}__{key}.csv", sweep, _meta_line(cfg))
+    g2_values = {p.fluorophore: {k: s.g2_value for k, s in p.sweeps.items()} for p in report.panels}
+    _write_fig2(cfg, out, report, g2_values)
+    for panel in report.panels:
         flag = "ok" if panel.within_band else "OUT OF BAND"
         print(
-            f"{fluor_name}: ratio = {panel.ratio.value:.3f} "
+            f"{panel.fluorophore}: ratio = {panel.ratio.value:.3f} "
             f"(se {panel.ratio.stderr:.3f}) [{flag}]"
         )
     if not report.all_within_band:
         bad = [
-            f"{name}: {panel.ratio.value:.3f}"
-            for name, panel in zip(fluor_names, report.panels)
+            f"{panel.fluorophore}: {panel.ratio.value:.3f}"
+            for panel in report.panels
             if not panel.within_band
         ]
         raise AcceptanceError(
@@ -492,27 +483,24 @@ def cmd_reproduce_fig2(cfg: dict, args: argparse.Namespace) -> None:
 def cmd_report(cfg: dict, args: argparse.Namespace) -> None:
     out = _out_dir(cfg)
     exp = cfg["experiment"]
-    found = {
-        (fluor, source): path
+    # One panel per configured fluorophore, of whichever of its configured
+    # sources' sweep CSVs exist: none leaves a panel without fits.
+    panels = [
+        (fluor, {
+            source: _read_sweep_csv(path, config_hash(cfg))
+            for source in exp["sources"]
+            if (path := out / f"{fluor}__{source}.csv").exists()
+        })
         for fluor in exp["fluorophores"]
-        for source in exp["sources"]
-        if (path := out / f"{fluor}__{source}.csv").exists()
-    }
-    if not found:
+    ]
+    n_files = sum(len(sweeps) for _, sweeps in panels)
+    if not n_files:
         raise InsufficientDataError(f"no reproduce-fig2 sweep CSVs in {out}")
-    panels: dict = {}
-    for (fluor, source), path in found.items():
-        sweep = _read_sweep_csv(path, fluor, source, config_hash(cfg))
-        panels.setdefault(fluor, {})[source] = sweep
     report = fig2_report(
-        list(panels.items()),
-        cfg["noise"],
-        exp["panel_scale_error"],
-        exp["arm_scale_error"],
-        exp["ratio_band"],
+        panels, cfg["noise"], exp["panel_scale_error"], exp["arm_scale_error"], exp["ratio_band"]
     )
-    _write_fig2(cfg, out, list(panels), report, [{}] * len(panels))
-    print(f"report rebuilt from {len(found)} sweep files -> {out / 'report.json'}")
+    _write_fig2(cfg, out, report)
+    print(f"report rebuilt from {n_files} sweep files -> {out / 'report.json'}")
 
 
 _HANDLERS = {

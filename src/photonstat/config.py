@@ -114,6 +114,10 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
             top = path.split(".", 1)[0] if path else str(key)
             if top not in _ENTRY_NUMBERS:
                 raise ConfigError(f"unknown configuration key {here!r}")
+            name = str(key)
+            if path in ("sources", "absorbers") and ("/" in name or not name.isprintable()):
+                # Source and absorber names key artifact files and show in SVG text.
+                raise ConfigError(f"{here!r}: a name that keys files must be printable, without '/'")
             if isinstance(value, dict):
                 numbers = _ENTRY_NUMBERS[top]
                 value = {
@@ -188,10 +192,13 @@ def _merged_file(path) -> dict:
     import yaml
 
     try:
-        with open(path) as fh:
+        # As bytes, so that PyYAML reports text that is not UTF-8 or UTF-16.
+        with open(path, "rb") as fh:
             loaded = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+        # PyYAML puts the context, the problem and its place on lines of their own.
+        detail = "; ".join(line.strip() for line in str(exc).splitlines() if line.strip())
+        raise ConfigError(f"cannot parse config file {path}: {detail}") from exc
     if loaded is None:
         return data
     if not isinstance(loaded, dict):

@@ -52,11 +52,10 @@ class SweepResult:
     power (P_exc in W), count and repeat (the repeat index) hold one entry
     per record, ordered by power then repeat. count holds ints with noise
     on and exact float expectations with noise off. g2_value records the
-    source statistic the sweep actually used.
+    source statistic the sweep actually used. Which source and absorber
+    it belongs to is its caller's: a Fig. 2 panel keys it by name.
     """
 
-    source_label: str
-    fluorophore_label: str
     power: np.ndarray
     count: np.ndarray
     repeat: np.ndarray
@@ -84,7 +83,7 @@ class FitResult:
 @dataclass
 class Fig2Panel:
     """One Fig. 2 panel. ratio and within_band are None when it has not
-    exactly two sweeps, e.g. when `report` finds one sweep CSV missing."""
+    exactly two sweeps, e.g. when `report` finds a sweep CSV missing."""
 
     fluorophore: str
     sweeps: dict
@@ -188,8 +187,6 @@ def power_sweep(
             )
         counts = rng_for(seed, 1).poisson(counts)
     return SweepResult(
-        source_label=source.label or source.statistics,
-        fluorophore_label=absorber.label,
         power=np.repeat(chain.power_correction_eta * powers, repeats),
         count=counts.ravel(),
         repeat=np.tile(np.arange(repeats), powers.size),

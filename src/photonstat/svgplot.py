@@ -25,6 +25,11 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _text(value: str) -> str:
+    """value as SVG character data, with &, < and > escaped."""
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 class _LogAxes:
     def __init__(self, x_range, y_range):
         self.x0, self.x1 = np.log10(x_range[0]), np.log10(x_range[1])
@@ -79,7 +84,7 @@ def loglog_panel_svg(
     parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     parts.append(
         f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>'
+        f'font-family="sans-serif" font-size="15">{_text(title)}</text>'
     )
     # Frame
     x_px0, x_px1 = _MARGIN_L, _WIDTH - _MARGIN_R
@@ -113,12 +118,12 @@ def loglog_panel_svg(
         )
     parts.append(
         f'<text x="{(x_px0 + x_px1) // 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
+        f'font-family="sans-serif" font-size="13">{_text(x_label)}</text>'
     )
     parts.append(
         f'<text x="18" y="{(y_px0 + y_px1) // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {(y_px0 + y_px1) // 2})">{y_label}</text>'
+        f'transform="rotate(-90 18 {(y_px0 + y_px1) // 2})">{_text(y_label)}</text>'
     )
     # Fit lines under the markers
     for k, line in enumerate(fit_lines):
@@ -163,7 +168,7 @@ def loglog_panel_svg(
         )
         parts.append(
             f'<text x="{x_px0 + 28}" y="{legend_y}" font-family="sans-serif" '
-            f'font-size="12">{s["label"]}</text>'
+            f'font-size="12">{_text(s["label"])}</text>'
         )
         legend_y += 18
     parts.append("</svg>")

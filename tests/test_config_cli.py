@@ -16,6 +16,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -240,6 +241,7 @@ def test_cli_report_with_a_missing_sweep_csv(tmp_path, capsys):
     dcm, cdte, rhodamine = rebuilt["panels"]
     assert cdte == {
         "fluorophore": "CdTe-QD",
+        "label": first["panels"][1]["label"],
         "fits": {"dfb": first["panels"][1]["fits"]["dfb"]},
     }
     assert sorted(p.name for p in (out / "plots").iterdir()) == [
@@ -290,8 +292,28 @@ def test_cli_report_without_a_complete_panel_is_not_within_band(tmp_path):
     assert run_cli(["report", *args]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["all_within_band"] is False
-    assert [sorted(p) for p in report["panels"]] == [["fits", "fluorophore"]] * 3
+    assert [sorted(p) for p in report["panels"]] == [["fits", "fluorophore", "label"]] * 3
     assert list((out / "plots").iterdir()) == []
+
+
+def test_cli_report_keeps_a_fluorophore_without_sweep_csvs(tmp_path):
+    # Without both CdTe-QD CSVs, report wrote a two-panel report.json and
+    # left plots/CdTe-QD.svg showing a ratio that report no longer had.
+    out = tmp_path / "fig2"
+    args = ["--out", out, "--seed", 7]
+    assert run_cli(["reproduce-fig2", *args]) == 0
+    first = json.loads((out / "report.json").read_text())
+    for path in out.glob("CdTe-QD__*.csv"):
+        path.unlink()
+    assert run_cli(["report", *args]) == 0
+    rebuilt = json.loads((out / "report.json").read_text())
+    dcm, cdte, rhodamine = rebuilt["panels"]
+    assert cdte == {"fluorophore": "CdTe-QD", "label": first["panels"][1]["label"], "fits": {}}
+    for kept, panel in zip([dcm, rhodamine], [first["panels"][0], first["panels"][2]]):
+        del panel["g2_values"]
+        assert kept == panel
+    assert sorted(p.name for p in (out / "plots").iterdir()) == ["DCM.svg", "RhodamineB.svg"]
+    assert rebuilt["all_within_band"]
 
 
 def test_cli_report_ignores_sweep_command_csvs(tmp_path):
@@ -354,6 +376,19 @@ def test_cli_report_rejects_malformed_sweep_csv(tmp_path, capsys, row):
     assert "malformed row" in err[0]
 
 
+def test_cli_report_refuses_a_sweep_csv_that_is_not_utf8(tmp_path, capsys):
+    # Was a UnicodeDecodeError traceback.
+    out = tmp_path / "fig2"
+    out.mkdir()
+    (out / "DCM__sld.csv").write_bytes(b"\xff\xfe,")
+    code, err = run_cli_error(capsys, ["report", "--out", out])
+    assert code == 3
+    assert len(err) == 1
+    assert err[0].startswith("error [data-error]:")
+    assert "not a sweep CSV" in err[0]
+    assert [p.name for p in out.iterdir()] == ["DCM__sld.csv"]
+
+
 def _artifacts(out):
     """Every file under out but report.json, by path relative to out."""
     files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "report.json")
@@ -395,7 +430,7 @@ def test_cli_report_rebuilds_configured_names(tmp_path, yaml_text, fluorophores)
     assert run_cli(["report", *args]) == 0
     rebuilt = json.loads((out / "report.json").read_text())
     for panel in first["panels"]:
-        del panel["label"], panel["g2_values"]
+        del panel["g2_values"]
     assert rebuilt == first
     assert [p["fluorophore"] for p in rebuilt["panels"]] == fluorophores
     assert all(1.6 <= p["ratio"] <= 2.3 for p in rebuilt["panels"])
@@ -416,6 +451,50 @@ def test_cli_report_ignores_csvs_the_config_does_not_name(tmp_path):
     assert [p["fluorophore"] for p in rebuilt["panels"]] == ["DCM", "CdTe-QD", "RhodamineB"]
     assert [p["ratio"] for p in rebuilt["panels"]] == [p["ratio"] for p in first["panels"]]
     assert _artifacts(out) == written
+
+
+def test_cli_writes_well_formed_svg_whatever_the_names(tmp_path):
+    # A fluorophore "R&B <x>" wrote a plot that was not well-formed XML,
+    # with exit 0.
+    cfg = tmp_path / "names.yaml"
+    cfg.write_text(
+        'absorbers: {"R&B <x>": {preset: DCM}}\n'
+        'sources: {"a>b": {preset: sld}}\n'
+        'experiment: {fluorophores: ["R&B <x>", DCM], sources: ["a>b", dfb]}\n'
+    )
+    out = tmp_path / "fig2"
+    assert run_cli(["reproduce-fig2", "--config", cfg, "--out", out, "--seed", 7]) == 0
+    plots = sorted((out / "plots").iterdir())
+    assert [p.name for p in plots] == ["DCM.svg", "R&B <x>.svg"]
+    for plot in plots:
+        texts = [el.text for el in ElementTree.parse(plot).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == plot.stem
+        assert ["a>b", "dfb"] == texts[-2:]
+
+
+@pytest.mark.parametrize("name", ["sub/dir", "nul\\0", "control\\x01", "surrogate\\ud800"])
+@pytest.mark.parametrize(
+    "entry, experiment",
+    [
+        ("absorbers: {%s: {preset: DCM}}", "fluorophores: [%s]"),
+        ("sources: {%s: {preset: sld}}", "sources: [%s, dfb]"),
+    ],
+    ids=["absorber", "source"],
+)
+def test_cli_refuses_a_name_that_cannot_key_a_file(tmp_path, capsys, name, entry, experiment):
+    # An absorber "sub/dir" ended in exit 5 (io-error) after the sweeps ran,
+    # a NUL or a lone surrogate in a name in a traceback, and a control
+    # character in a plot that was not well-formed XML.
+    quoted = f'"{name}"'
+    cfg = tmp_path / "names.yaml"
+    cfg.write_text(f"{entry % quoted}\nexperiment: {{{experiment % quoted}}}\n")
+    out = tmp_path / "fig2"
+    code, err = run_cli_error(capsys, ["reproduce-fig2", "--config", cfg, "--out", out])
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error [config-error]:")
+    assert "must be printable, without '/'" in err[0]
+    assert not out.exists()
 
 
 def test_cli_sweep_artifacts(tmp_path):
@@ -694,11 +773,19 @@ def test_cli_accepts_largest_seed(tmp_path):
         # A repeated name wrote two panels or arms into the same files.
         "experiment:\n  fluorophores: [DCM, DCM]\n",
         "experiment:\n  sources: [sld, sld]\n",
+        # Text that is not UTF-8 was a UnicodeDecodeError traceback, and
+        # PyYAML's errors took two or three lines.
+        b"\xff\xfe\n",
+        b"master_seed: \xe9\n",
+        ": : :\n",
+        "master_seed: 1\x00\n",
+        "!!python/object:os.system x\n",
+        "experiment: {repeats: 2\n",
     ],
 )
 def test_cli_rejects_non_numeric_config(tmp_path, capsys, yaml_text):
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(yaml_text)
+    cfg.write_bytes(yaml_text if isinstance(yaml_text, bytes) else yaml_text.encode())
     code, err = run_cli_error(
         capsys, ["reproduce-fig2", "--config", cfg, "--out", tmp_path / "o"]
     )
@@ -1187,20 +1274,22 @@ _CELLS = st.one_of(
     st.floats().map(repr),
     st.integers().map(str),
     st.text(alphabet=st.characters(codec="ascii"), max_size=6),
+    st.binary(max_size=6),
 )
 
 
-def _fuzzed_sweep_csv(text: str, scale_exp: int, cells: list, keep, drop_meta: bool) -> str:
+def _fuzzed_sweep_csv(data: bytes, scale_exp: int, cells: list, keep, drop_meta: bool) -> bytes:
     """A sweep CSV with its powers scaled by 10^scale_exp, cells replaced
-    (row, column, text), its rows cut to keep and its metadata line dropped."""
-    meta, header, *lines = text.splitlines()
-    rows = [line.split(",") for line in lines]
+    (row, column, text or bytes), its rows cut to keep and its metadata
+    line dropped."""
+    meta, header, *lines = data.splitlines()
+    rows = [line.split(b",") for line in lines]
     for row in rows:
-        row[0] = repr(float(row[0]) * 10.0**scale_exp)
+        row[0] = repr(float(row[0]) * 10.0**scale_exp).encode()
     for i, j, cell in cells:
-        rows[i % len(rows)][j % 3] = cell
-    body = [",".join(row) for row in rows[:keep]]
-    return "\n".join(([] if drop_meta else [meta]) + [header] + body) + "\n"
+        rows[i % len(rows)][j % 3] = cell if isinstance(cell, bytes) else cell.encode()
+    body = [b",".join(row) for row in rows[:keep]]
+    return b"\n".join(([] if drop_meta else [meta]) + [header] + body) + b"\n"
 
 
 @settings(max_examples=200, deadline=None)
@@ -1213,6 +1302,8 @@ def _fuzzed_sweep_csv(text: str, scale_exp: int, cells: list, keep, drop_meta: b
 )
 # The fit line of an sld panel scaled by 1e152 overflowed (a RuntimeWarning).
 @example(name="DCM__sld.csv", scale_exp=152, cells=[], keep=None, drop_meta=False)
+# Bytes that are not UTF-8 were a UnicodeDecodeError traceback.
+@example(name="DCM__sld.csv", scale_exp=0, cells=[(0, 0, b"\xff\xfe")], keep=None, drop_meta=False)
 def test_cli_fuzzed_sweep_csv_exits_with_a_documented_code(
     fuzz_outputs, name, scale_exp, cells, keep, drop_meta
 ):
@@ -1222,7 +1313,7 @@ def test_cli_fuzzed_sweep_csv_exits_with_a_documented_code(
         out = Path(tmp) / "out"
         shutil.copytree(fuzz_outputs, out)
         path = out / name
-        path.write_text(_fuzzed_sweep_csv(path.read_text(), scale_exp, cells, keep, drop_meta))
+        path.write_bytes(_fuzzed_sweep_csv(path.read_bytes(), scale_exp, cells, keep, drop_meta))
         config = fuzz_outputs.parent / "base.yaml"
         code, err, caught = _run_quietly(["report", "--config", config, "--out", out])
         _assert_clean_outcome(code, err, caught, out, (0, 3))
@@ -1243,7 +1334,7 @@ def test_cli_report_refuses_out_of_range_sweep_csvs(
     out = tmp_path / "out"
     shutil.copytree(fuzz_outputs, out)
     path = out / "DCM__sld.csv"
-    path.write_text(_fuzzed_sweep_csv(path.read_text(), scale_exp, cells, None, drop_meta))
+    path.write_bytes(_fuzzed_sweep_csv(path.read_bytes(), scale_exp, cells, None, drop_meta))
     config = fuzz_outputs.parent / "base.yaml"
     code, err, caught = _run_quietly(["report", "--config", config, "--out", out])
     assert code == 3, err

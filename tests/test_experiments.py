@@ -32,7 +32,7 @@ POWERS = np.geomspace(30e-6, 1e-3, 12)
 
 def make_sweep(records):
     power, count, repeat = np.array(records, dtype=float).reshape(-1, 3).T
-    return SweepResult("src", "dye", power, count, repeat.astype(int))
+    return SweepResult(power, count, repeat.astype(int))
 
 
 def sweep_rows(sweep):
